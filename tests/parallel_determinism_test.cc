@@ -4,7 +4,9 @@
 // sets_verified) — the contract documented in why/exact_search.h. Also
 // covers cancellation: a parallel question past its deadline unwinds
 // without leaking tasks into the shared pool. Test names carry "Parallel"
-// so the CI thread-sanitizer job picks the whole file up.
+// so the CI thread-sanitizer job picks the whole file up. PinnedAnswersTest
+// holds the serial reference itself: literal fingerprints of every
+// algorithm's answer, so refactors of the drivers cannot drift unnoticed.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +14,12 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/thread_pool.h"
+#include "gen/figure1.h"
 #include "gen/profiles.h"
 #include "harness/experiment.h"
 #include "matcher/candidates.h"
@@ -24,6 +28,7 @@
 #include "query/query_parser.h"
 #include "rewrite/operators.h"
 #include "service/service.h"
+#include "why/extensions.h"
 #include "why/why_algorithms.h"
 #include "why/whynot_algorithms.h"
 
@@ -76,6 +81,581 @@ std::string Fingerprint(const Graph& g, const RewriteAnswer& a) {
   s += "|picky=" + std::to_string(a.picky_count);
   s += a.exhaustive ? "|exhaustive" : "|truncated";
   return s;
+}
+
+// Pinned answers. Each entry names (fixture/semantics/algorithm[/item])
+// and holds the Fingerprint the algorithm returned when the pins were
+// recorded; any difference is a change in the answers the engine gives.
+using Pins = std::vector<std::pair<std::string, std::string>>;
+
+const char* SemanticsTag(MatchSemantics s) {
+  return s == MatchSemantics::kIsomorphism ? "iso" : "sim";
+}
+
+// All six algorithms on the Figure 1 Why (V_N = {A5, S5}) and Why-not
+// (V_C = {S8, S9}) questions; answers follow the semantics under test.
+Pins Figure1Pins(MatchSemantics semantics) {
+  Figure1 f = MakeFigure1();
+  std::vector<NodeId> answers =
+      MakeMatchEngine(f.graph, semantics)->MatchOutput(f.query);
+  AnswerConfig cfg = BaseConfig(1);
+  cfg.semantics = semantics;
+  const std::string tag = std::string("fig1/") + SemanticsTag(semantics);
+  Pins pins;
+  WhyQuestion why{{f.a5, f.s5}};
+  cfg.guard_m = 0;
+  pins.emplace_back(tag + "/ExactWhy",
+                    Fingerprint(f.graph, ExactWhy(f.graph, f.query, answers,
+                                                  why, cfg)));
+  pins.emplace_back(tag + "/ApproxWhy",
+                    Fingerprint(f.graph, ApproxWhy(f.graph, f.query,
+                                                   answers, why, cfg)));
+  pins.emplace_back(tag + "/IsoWhy",
+                    Fingerprint(f.graph, IsoWhy(f.graph, f.query, answers,
+                                                why, cfg)));
+  WhyNotQuestion whynot;
+  whynot.missing = {f.s8, f.s9};
+  cfg.budget = 5.0;
+  cfg.guard_m = 2;
+  pins.emplace_back(tag + "/ExactWhyNot",
+                    Fingerprint(f.graph, ExactWhyNot(f.graph, f.query,
+                                                     answers, whynot, cfg)));
+  pins.emplace_back(tag + "/FastWhyNot",
+                    Fingerprint(f.graph, FastWhyNot(f.graph, f.query,
+                                                    answers, whynot, cfg)));
+  pins.emplace_back(tag + "/IsoWhyNot",
+                    Fingerprint(f.graph, IsoWhyNot(f.graph, f.query,
+                                                   answers, whynot, cfg)));
+  return pins;
+}
+
+// All six algorithms on every sweep-workload item.
+Pins SweepPins(MatchSemantics semantics) {
+  const Graph& g = SweepGraph();
+  Workload w = SweepWorkload(g);
+  AnswerConfig cfg = BaseConfig(1);
+  cfg.semantics = semantics;
+  Pins pins;
+  for (size_t k = 0; k < w.items.size(); ++k) {
+    const Workload::Item& item = w.items[k];
+    std::vector<NodeId> answers =
+        MakeMatchEngine(g, semantics)->MatchOutput(item.gq.query);
+    if (answers.empty()) continue;
+    const std::string tag = std::string("sweep/") + SemanticsTag(semantics) +
+                            "/" + std::to_string(k) + "/";
+    WhyQuestion why{{answers[0]}};
+    const Query& q = item.gq.query;
+    pins.emplace_back(tag + "ExactWhy",
+                      Fingerprint(g, ExactWhy(g, q, answers, why, cfg)));
+    pins.emplace_back(tag + "ApproxWhy",
+                      Fingerprint(g, ApproxWhy(g, q, answers, why, cfg)));
+    pins.emplace_back(tag + "IsoWhy",
+                      Fingerprint(g, IsoWhy(g, q, answers, why, cfg)));
+    pins.emplace_back(tag + "ExactWhyNot",
+                      Fingerprint(g, ExactWhyNot(g, q, answers, item.whynot,
+                                                 cfg)));
+    pins.emplace_back(tag + "FastWhyNot",
+                      Fingerprint(g, FastWhyNot(g, q, answers, item.whynot,
+                                                cfg)));
+    pins.emplace_back(tag + "IsoWhyNot",
+                      Fingerprint(g, IsoWhyNot(g, q, answers, item.whynot,
+                                               cfg)));
+  }
+  return pins;
+}
+
+// Both multi-output algorithms on Figure 1 with outputs {Cellphone, Color}
+// and V_N = {A5} on the phone output (isomorphism only).
+Pins MultiOutputPins() {
+  Figure1 f = MakeFigure1();
+  Query q = f.query;
+  q.AddOutput(1);
+  std::vector<std::vector<NodeId>> per = Matcher(f.graph).MatchAllOutputs(q);
+  std::vector<std::vector<NodeId>> unexpected{{f.a5}, {}};
+  AnswerConfig cfg = BaseConfig(1);
+  cfg.guard_m = 0;
+  Pins pins;
+  pins.emplace_back(
+      "fig1-multi/iso/ExactWhyMultiOutput",
+      Fingerprint(f.graph,
+                  ExactWhyMultiOutput(f.graph, q, per, unexpected, cfg)));
+  pins.emplace_back(
+      "fig1-multi/iso/ApproxWhyMultiOutput",
+      Fingerprint(f.graph,
+                  ApproxWhyMultiOutput(f.graph, q, per, unexpected, cfg)));
+  return pins;
+}
+
+// Fingerprints recorded with every algorithm at its serial reference.
+const Pins& ExpectedSixAlgorithmPins() {
+  static const Pins* pins = new Pins{
+    {"fig1/iso/ExactWhy",
+     "found|ops=AddL(u0.Price > 250)"
+     "|rw=node n0 Cellphone Price <= i:650 Price > i:250\n"
+     "node n1 Color val = s:pink\n"
+     "node n2 Deal carrier = s:AT&T\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=2.000000|est=1.000000|verified=2|picky=12"
+     "|exhaustive"},
+    {"fig1/iso/ApproxWhy",
+     "found|ops=AddL(u0.Price > 250)"
+     "|rw=node n0 Cellphone Price <= i:650 Price > i:250\n"
+     "node n1 Color val = s:pink\n"
+     "node n2 Deal carrier = s:AT&T\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=2.000000|est=1.000000|verified=3|picky=12"
+     "|exhaustive"},
+    {"fig1/iso/IsoWhy",
+     "found|ops=AddL(u0.Price > 250)"
+     "|rw=node n0 Cellphone Price <= i:650 Price > i:250\n"
+     "node n1 Color val = s:pink\n"
+     "node n2 Deal carrier = s:AT&T\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=2.000000|est=1.000000|verified=1|picky=12"
+     "|exhaustive"},
+    {"fig1/iso/ExactWhyNot",
+     "found"
+     "|ops=RmL(u1.val = pink), RmL(u2.carrier = AT&T), RmL(u0.Price <= 650)"
+     "|rw=node n0 Cellphone\n"
+     "node n1 Color\n"
+     "node n2 Deal\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=4.000000|est=1.000000|verified=4|picky=15"
+     "|exhaustive"},
+    {"fig1/iso/FastWhyNot",
+     "found"
+     "|ops=RmL(u2.carrier = AT&T), RmL(u0.Price <= 650), RmL(u1.val = pink)"
+     "|rw=node n0 Cellphone\n"
+     "node n1 Color\n"
+     "node n2 Deal\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=4.000000|est=1.000000|verified=3|picky=15"
+     "|exhaustive"},
+    {"fig1/iso/IsoWhyNot",
+     "found"
+     "|ops=RmL(u2.carrier = AT&T), RmL(u0.Price <= 650), RmL(u1.val = pink)"
+     "|rw=node n0 Cellphone\n"
+     "node n1 Color\n"
+     "node n2 Deal\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=4.000000|est=1.000000|verified=3|picky=15"
+     "|exhaustive"},
+    {"sweep/iso/0/ExactWhy",
+     "not-found|ops=AddL(u0.a36 > 0)|rw=node n0 L4 a36 <= i:170 a36 > i:0\n"
+     "node n1 L25 a182 <= i:86\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n1 r95\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=0.000000|guard=0|cost=1.000000|est=0.000000|verified=1|picky=96"
+     "|exhaustive"},
+    {"sweep/iso/0/ApproxWhy",
+     "not-found|ops=|rw=node n0 L4 a36 <= i:170\n"
+     "node n1 L25 a182 <= i:86\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n1 r95\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=0.000000|guard=0|cost=0.000000|est=0.000000|verified=96|picky=96"
+     "|exhaustive"},
+    {"sweep/iso/0/IsoWhy",
+     "not-found|ops=|rw=node n0 L4 a36 <= i:170\n"
+     "node n1 L25 a182 <= i:86\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n1 r95\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=0.000000|guard=0|cost=0.000000|est=0.000000|verified=96|picky=96"
+     "|exhaustive"},
+    {"sweep/iso/0/ExactWhyNot",
+     "found|ops=RmE(u0 -r95-> u1)|rw=node n0 L4 a36 <= i:170\n"
+     "node n1 L25 a182 <= i:86\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=1.000000|guard=0|cost=0.750000|est=1.000000|verified=1|picky=8"
+     "|exhaustive"},
+    {"sweep/iso/0/FastWhyNot",
+     "found|ops=RmL(u1.a182 <= 86)|rw=node n0 L4 a36 <= i:170\n"
+     "node n1 L25\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n1 r95\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=1.000000|guard=0|cost=0.750000|est=1.000000|verified=1|picky=8"
+     "|exhaustive"},
+    {"sweep/iso/0/IsoWhyNot",
+     "found|ops=RmL(u1.a182 <= 86)|rw=node n0 L4 a36 <= i:170\n"
+     "node n1 L25\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n1 r95\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=1.000000|guard=0|cost=0.750000|est=1.000000|verified=1|picky=8"
+     "|exhaustive"},
+    {"sweep/iso/1/ExactWhy",
+     "found|ops=AddL(u1.a104 < 183)|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72 a104 < i:183\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "edge n3 n1 r47\n"
+     "output n2\n"
+     "|cl=1.000000|guard=1|cost=1.000000|est=1.000000|verified=1|picky=96"
+     "|exhaustive"},
+    {"sweep/iso/1/ApproxWhy",
+     "found|ops=AddL(u1.a104 < 61)|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72 a104 < i:61\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "edge n3 n1 r47\n"
+     "output n2\n"
+     "|cl=1.000000|guard=1|cost=1.000000|est=1.000000|verified=4|picky=96"
+     "|exhaustive"},
+    {"sweep/iso/1/IsoWhy",
+     "found|ops=AddL(u1.a104 < 61)|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72 a104 < i:61\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "edge n3 n1 r47\n"
+     "output n2\n"
+     "|cl=1.000000|guard=1|cost=1.000000|est=1.000000|verified=1|picky=96"
+     "|exhaustive"},
+    {"sweep/iso/1/ExactWhyNot",
+     "not-found|ops=RmE(u3 -r47-> u1)|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "output n2\n"
+     "|cl=0.000000|guard=0|cost=0.750000|est=0.000000|verified=1|picky=7"
+     "|exhaustive"},
+    {"sweep/iso/1/FastWhyNot",
+     "not-found|ops=|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "edge n3 n1 r47\n"
+     "output n2\n"
+     "|cl=0.000000|guard=0|cost=0.000000|est=0.000000|verified=7|picky=7"
+     "|exhaustive"},
+    {"sweep/iso/1/IsoWhyNot",
+     "not-found|ops=|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "edge n3 n1 r47\n"
+     "output n2\n"
+     "|cl=0.000000|guard=0|cost=0.000000|est=0.000000|verified=7|picky=7"
+     "|exhaustive"},
+    {"fig1/sim/ExactWhy",
+     "found|ops=AddL(u0.Price > 250)"
+     "|rw=node n0 Cellphone Price <= i:650 Price > i:250\n"
+     "node n1 Color val = s:pink\n"
+     "node n2 Deal carrier = s:AT&T\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=2.000000|est=1.000000|verified=2|picky=12"
+     "|exhaustive"},
+    {"fig1/sim/ApproxWhy",
+     "found|ops=AddL(u0.Price > 250)"
+     "|rw=node n0 Cellphone Price <= i:650 Price > i:250\n"
+     "node n1 Color val = s:pink\n"
+     "node n2 Deal carrier = s:AT&T\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=2.000000|est=1.000000|verified=3|picky=12"
+     "|exhaustive"},
+    {"fig1/sim/IsoWhy",
+     "found|ops=AddL(u0.Price > 250)"
+     "|rw=node n0 Cellphone Price <= i:650 Price > i:250\n"
+     "node n1 Color val = s:pink\n"
+     "node n2 Deal carrier = s:AT&T\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=2.000000|est=1.000000|verified=1|picky=12"
+     "|exhaustive"},
+    {"fig1/sim/ExactWhyNot",
+     "found"
+     "|ops=RmL(u1.val = pink), RmL(u2.carrier = AT&T), RmL(u0.Price <= 650)"
+     "|rw=node n0 Cellphone\n"
+     "node n1 Color\n"
+     "node n2 Deal\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=4.000000|est=1.000000|verified=4|picky=15"
+     "|exhaustive"},
+    {"fig1/sim/FastWhyNot",
+     "found"
+     "|ops=RmL(u2.carrier = AT&T), RmL(u0.Price <= 650), RmL(u1.val = pink)"
+     "|rw=node n0 Cellphone\n"
+     "node n1 Color\n"
+     "node n2 Deal\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=4.000000|est=1.000000|verified=3|picky=15"
+     "|exhaustive"},
+    {"fig1/sim/IsoWhyNot",
+     "found"
+     "|ops=RmL(u2.carrier = AT&T), RmL(u0.Price <= 650), RmL(u1.val = pink)"
+     "|rw=node n0 Cellphone\n"
+     "node n1 Color\n"
+     "node n2 Deal\n"
+     "node n3 Brand name = s:Samsung\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "output n0\n"
+     "|cl=1.000000|guard=0|cost=4.000000|est=1.000000|verified=3|picky=15"
+     "|exhaustive"},
+    {"sweep/sim/0/ExactWhy",
+     "not-found|ops=AddL(u0.a36 > 0)|rw=node n0 L4 a36 <= i:170 a36 > i:0\n"
+     "node n1 L25 a182 <= i:86\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n1 r95\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=0.000000|guard=0|cost=1.000000|est=0.000000|verified=1|picky=96"
+     "|exhaustive"},
+    {"sweep/sim/0/ApproxWhy",
+     "not-found|ops=|rw=node n0 L4 a36 <= i:170\n"
+     "node n1 L25 a182 <= i:86\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n1 r95\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=0.000000|guard=0|cost=0.000000|est=0.000000|verified=96|picky=96"
+     "|exhaustive"},
+    {"sweep/sim/0/IsoWhy",
+     "not-found|ops=|rw=node n0 L4 a36 <= i:170\n"
+     "node n1 L25 a182 <= i:86\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n1 r95\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=0.000000|guard=0|cost=0.000000|est=0.000000|verified=96|picky=96"
+     "|exhaustive"},
+    {"sweep/sim/0/ExactWhyNot",
+     "found|ops=RmE(u0 -r95-> u1)|rw=node n0 L4 a36 <= i:170\n"
+     "node n1 L25 a182 <= i:86\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=1.000000|guard=0|cost=0.750000|est=1.000000|verified=1|picky=8"
+     "|exhaustive"},
+    {"sweep/sim/0/FastWhyNot",
+     "found|ops=RmL(u1.a182 <= 86)|rw=node n0 L4 a36 <= i:170\n"
+     "node n1 L25\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n1 r95\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=1.000000|guard=0|cost=0.750000|est=1.000000|verified=1|picky=8"
+     "|exhaustive"},
+    {"sweep/sim/0/IsoWhyNot",
+     "found|ops=RmL(u1.a182 <= 86)|rw=node n0 L4 a36 <= i:170\n"
+     "node n1 L25\n"
+     "node n2 L27 a198 >= i:63\n"
+     "node n3 L2 a20 <= i:658\n"
+     "edge n0 n1 r95\n"
+     "edge n0 n2 r102\n"
+     "edge n3 n2 r92\n"
+     "output n3\n"
+     "|cl=1.000000|guard=0|cost=0.750000|est=1.000000|verified=1|picky=8"
+     "|exhaustive"},
+    {"sweep/sim/1/ExactWhy",
+     "found|ops=AddL(u1.a104 < 183)|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72 a104 < i:183\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "edge n3 n1 r47\n"
+     "output n2\n"
+     "|cl=1.000000|guard=1|cost=1.000000|est=1.000000|verified=1|picky=96"
+     "|exhaustive"},
+    {"sweep/sim/1/ApproxWhy",
+     "found|ops=AddL(u1.a104 < 61)|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72 a104 < i:61\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "edge n3 n1 r47\n"
+     "output n2\n"
+     "|cl=1.000000|guard=1|cost=1.000000|est=1.000000|verified=4|picky=96"
+     "|exhaustive"},
+    {"sweep/sim/1/IsoWhy",
+     "found|ops=AddL(u1.a104 < 61)|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72 a104 < i:61\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "edge n3 n1 r47\n"
+     "output n2\n"
+     "|cl=1.000000|guard=1|cost=1.000000|est=1.000000|verified=1|picky=96"
+     "|exhaustive"},
+    {"sweep/sim/1/ExactWhyNot",
+     "not-found|ops=RmE(u3 -r47-> u1)|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "output n2\n"
+     "|cl=0.000000|guard=0|cost=0.750000|est=0.000000|verified=1|picky=7"
+     "|exhaustive"},
+    {"sweep/sim/1/FastWhyNot",
+     "not-found|ops=|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "edge n3 n1 r47\n"
+     "output n2\n"
+     "|cl=0.000000|guard=0|cost=0.000000|est=0.000000|verified=7|picky=7"
+     "|exhaustive"},
+    {"sweep/sim/1/IsoWhyNot",
+     "not-found|ops=|rw=node n0 L3 a33 >= i:13\n"
+     "node n1 L14 a104 >= i:-72\n"
+     "node n2 L0 a3 >= i:-89\n"
+     "node n3 L1 a14 >= i:-43\n"
+     "edge n0 n1 r58\n"
+     "edge n2 n0 r9\n"
+     "edge n3 n1 r47\n"
+     "output n2\n"
+     "|cl=0.000000|guard=0|cost=0.000000|est=0.000000|verified=7|picky=7"
+     "|exhaustive"},
+  };
+  return *pins;
+}
+
+const Pins& ExpectedMultiOutputPins() {
+  static const Pins* pins = new Pins{
+    {"fig1-multi/iso/ExactWhyMultiOutput",
+     "found|ops=AddE(u0 -series-> new:Series[val = S])"
+     "|rw=node n0 Cellphone Price <= i:650\n"
+     "node n1 Color val = s:pink\n"
+     "node n2 Deal carrier = s:AT&T\n"
+     "node n3 Brand name = s:Samsung\n"
+     "node n4 Series val = s:S\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "edge n0 n4 series\n"
+     "output n0 n1\n"
+     "|cl=1.000000|guard=0|cost=2.000000|est=1.000000|verified=2|picky=11"
+     "|exhaustive"},
+    {"fig1-multi/iso/ApproxWhyMultiOutput",
+     "found|ops=AddE(u0 -series-> new:Series[val = S])"
+     "|rw=node n0 Cellphone Price <= i:650\n"
+     "node n1 Color val = s:pink\n"
+     "node n2 Deal carrier = s:AT&T\n"
+     "node n3 Brand name = s:Samsung\n"
+     "node n4 Series val = s:S\n"
+     "edge n0 n1 color\n"
+     "edge n0 n2 deal\n"
+     "edge n0 n3 brand\n"
+     "edge n0 n4 series\n"
+     "output n0 n1\n"
+     "|cl=1.000000|guard=0|cost=2.000000|est=1.000000|verified=2|picky=11"
+     "|exhaustive"},
+  };
+  return *pins;
+}
+
+void ExpectPins(const Pins& actual, const Pins& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].first, expected[i].first);
+    EXPECT_EQ(actual[i].second, expected[i].second) << actual[i].first;
+  }
+}
+
+TEST(PinnedAnswersTest, SixAlgorithmsOnFigure1AndSweep) {
+  Pins actual;
+  for (auto s : {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
+    for (auto& p : Figure1Pins(s)) actual.push_back(std::move(p));
+    for (auto& p : SweepPins(s)) actual.push_back(std::move(p));
+  }
+  ExpectPins(actual, ExpectedSixAlgorithmPins());
+}
+
+TEST(PinnedAnswersTest, MultiOutputOnFigure1) {
+  ExpectPins(MultiOutputPins(), ExpectedMultiOutputPins());
 }
 
 TEST(ParallelDeterminismTest, WhyAlgorithmsMatchSerial) {
