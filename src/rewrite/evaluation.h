@@ -51,6 +51,8 @@ class WhyEvaluator {
 
   const std::vector<NodeId>& answers() const { return answers_; }
   const std::vector<NodeId>& unexpected() const { return unexpected_; }
+  /// Q(u_o,G) \ V_N: the answers the guard protects.
+  const std::vector<NodeId>& desired() const { return desired_answers_; }
   size_t guard_m() const { return guard_m_; }
   const MatchEngine& engine() const { return *engine_; }
   const Graph& graph() const { return g_; }

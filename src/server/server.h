@@ -128,6 +128,10 @@ class WhyqServer {
 
   const std::vector<std::string>& graph_names() const { return names_; }
 
+  /// The first failed stats dump ("" when every dump was published). Set
+  /// by the loop thread; read it after Run() returns.
+  const std::string& stats_dump_error() const { return stats_dump_error_; }
+
  private:
   struct Conn;
 
@@ -161,6 +165,7 @@ class WhyqServer {
   std::atomic<bool> stop_requested_{false};
   bool draining_ = false;
   Timer stats_timer_;
+  std::string stats_dump_error_;
 
   // Counters are relaxed atomics (common/metrics.h) so Snapshot() from a
   // test/monitor thread never races the loop.

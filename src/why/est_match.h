@@ -30,7 +30,7 @@ namespace whyq {
 /// |V_C| + guard scan) path-index probes, each probe O(paths * path
 /// length) — and are safe to call concurrently from any number of threads
 /// over one shared PathIndex; the parallel greedy rounds in
-/// why/why_algorithms.cc rely on exactly that.
+/// why/drivers.h rely on exactly that.
 struct CloseEstimate {
   double closeness = 0.0;
   size_t guard = 0;

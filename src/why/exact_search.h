@@ -1,6 +1,7 @@
 #ifndef WHYQ_WHY_EXACT_SEARCH_H_
 #define WHYQ_WHY_EXACT_SEARCH_H_
 
+#include <concepts>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -12,18 +13,36 @@
 #include "common/timer.h"
 #include "matcher/match_context.h"
 #include "query/query.h"
-#include "rewrite/cost_model.h"
 #include "rewrite/evaluation.h"
 #include "rewrite/operators.h"
 #include "why/mbs.h"
 #include "why/question.h"
 
 namespace whyq {
+
+/// What the rewrite drivers call on an evaluator (P0782-style: exactly
+/// the members used, nothing more). Evaluators are single-thread state, so
+/// the drivers give every executor slot its own instance.
+///  - Evaluate: exact closeness and guard of a rewrite Q ⊕ O.
+///  - GuardOk: the guard alone; the admissibility predicate of the search.
+///  - ContextStats: candidate-memo counters, folded into RewriteAnswer.
+///  - context: the memo the path-index probes share (null when none).
+template <typename E>
+concept RewriteEvaluator = requires(const E& e, const Query& rewritten) {
+  { e.Evaluate(rewritten) } -> std::same_as<EvalResult>;
+  { e.GuardOk(rewritten) } -> std::same_as<bool>;
+  { e.ContextStats() } -> std::same_as<MatchContext::Stats>;
+  { e.context() } -> std::same_as<MatchContext*>;
+};
+
+static_assert(RewriteEvaluator<WhyEvaluator>);
+static_assert(RewriteEvaluator<WhyNotEvaluator>);
+
 namespace internal {
 
-/// Outcome of the exact MBS search shared by ExactWhy / ExactWhyNot: the
-/// best (closeness, cost)-lexicographic verified set plus the bookkeeping
-/// the callers surface in RewriteAnswer.
+/// Outcome of the exact MBS search shared by the exact Why, Why-not and
+/// multi-output algorithms: the best (closeness, cost)-lexicographic
+/// verified set plus the bookkeeping the callers surface in RewriteAnswer.
 struct ExactSearchOutcome {
   double best_cl = -1.0;
   double best_cost = std::numeric_limits<double>::infinity();
@@ -40,7 +59,9 @@ struct ExactSearchOutcome {
 /// The exact search core (Fig. 3 / Section V-A): enumerate maximal bounded
 /// sets over the usable picky operators, verify each with the evaluator's
 /// exact Evaluate, keep the lexicographic best, early-terminate at
-/// closeness 1, and honor deadline/time-limit truncation.
+/// closeness 1, and honor deadline/time-limit truncation. A set's cost is
+/// the sum of its `costs` entries in set order, the same additions
+/// CostModel::Cost(OperatorSet) makes.
 ///
 /// Intra-question parallelism (cfg.threads > 1): emitted sets are verified
 /// in batches on ThreadPool::Shared() — each executor slot gets its own
@@ -53,13 +74,12 @@ struct ExactSearchOutcome {
 ///
 /// `eval` is the caller's evaluator; it serves executor slot 0 and the
 /// guard admissibility predicate (which runs on the enumeration thread,
-/// never concurrently with a batch). Evaluator must provide
-/// Evaluate(const Query&) -> EvalResult and GuardOk(const Query&) -> bool.
-template <typename Evaluator>
+/// never concurrently with a batch).
+template <RewriteEvaluator Evaluator>
 ExactSearchOutcome ExactMbsSearch(
     const Query& q, const std::vector<EditOp>& usable,
-    const std::vector<double>& costs, const CostModel& cost,
-    const AnswerConfig& cfg, const Evaluator& eval,
+    const std::vector<double>& costs, const AnswerConfig& cfg,
+    const Evaluator& eval,
     const std::function<std::unique_ptr<Evaluator>()>& clone_evaluator) {
   constexpr double kEps = 1e-9;
   ExactSearchOutcome out;
@@ -107,10 +127,12 @@ ExactSearchOutcome ExactMbsSearch(
         // Deterministic reduction in emission order; items past an early
         // stop are discarded unseen, exactly as the serial enumeration
         // would never have evaluated them.
-        for (Item& it : items) {
+        for (size_t i = 0; i < items.size(); ++i) {
+          Item& it = items[i];
           ++out.verified;
           if (it.r.guard_ok) {
-            double c = cost.Cost(it.ops);
+            double c = 0.0;
+            for (size_t j : batch[i]) c += costs[j];
             if (it.r.closeness > out.best_cl + kEps ||
                 (it.r.closeness > out.best_cl - kEps && c < out.best_cost)) {
               out.best_cl = it.r.closeness;

@@ -1,13 +1,16 @@
 #include "why/extensions.h"
 
 #include <algorithm>
-#include <limits>
+#include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "matcher/matcher.h"
 #include "matcher/path_index.h"
 #include "rewrite/cost_model.h"
+#include "why/drivers.h"
+#include "why/exact_search.h"
 #include "why/mbs.h"
 #include "why/picky.h"
 
@@ -27,6 +30,111 @@ std::vector<NodeId> LabelSample(const Graph& g, const Query& q, size_t cap) {
     out.push_back(all[i]);
   }
   return out;
+}
+
+// The multi-output Why evaluator: one WhyEvaluator per output node, each
+// judging the rewrite with that node as its output. Closeness pools the
+// excluded unexpected entities over all outputs (over the total
+// unexpected); the guard pools the collateral exclusions the same way.
+class PooledWhyEvaluator {
+ public:
+  PooledWhyEvaluator(
+      const Graph& g, const Query& q,
+      const std::vector<std::vector<NodeId>>& answers_per_output,
+      const std::vector<std::vector<NodeId>>& unexpected_per_output,
+      const AnswerConfig& cfg)
+      : outputs_(q.outputs()), guard_m_(cfg.guard_m), cancel_(cfg.cancel) {
+    evals_.reserve(outputs_.size());
+    for (size_t i = 0; i < outputs_.size(); ++i) {
+      evals_.emplace_back(g, answers_per_output[i],
+                          WhyQuestion{unexpected_per_output[i]}, cfg.guard_m,
+                          cfg.semantics, cfg.cancel);
+      total_unexpected_ += evals_.back().unexpected().size();
+    }
+  }
+
+  // Calls visit(output index, v, unexpected?) for every answer of each
+  // output that `rewritten` excludes: one exact sweep per output, stopping
+  // between outputs once the request is cancelled.
+  template <typename Visit>
+  void ForEachAffected(const Query& rewritten, Visit&& visit) const {
+    for (size_t i = 0; i < evals_.size() && !CancelRequested(cancel_); ++i) {
+      Query projected = rewritten;
+      projected.SetOutput(outputs_[i]);
+      const std::vector<NodeId> affected =
+          evals_[i].AffectedAnswers(projected);
+      for (NodeId v : affected) visit(i, v, evals_[i].IsUnexpected(v));
+    }
+  }
+
+  EvalResult Evaluate(const Query& rewritten) const {
+    size_t excluded = 0;
+    size_t guard = 0;
+    ForEachAffected(rewritten, [&](size_t, NodeId, bool unexpected) {
+      ++(unexpected ? excluded : guard);
+    });
+    EvalResult r;
+    r.closeness = static_cast<double>(excluded) /
+                  static_cast<double>(total_unexpected_);
+    r.guard = guard;
+    r.guard_ok = guard <= guard_m_;
+    return r;
+  }
+  bool GuardOk(const Query& rewritten) const {
+    return Evaluate(rewritten).guard_ok;
+  }
+  MatchContext::Stats ContextStats() const {
+    MatchContext::Stats s;
+    for (const WhyEvaluator& e : evals_) s.Add(e.ContextStats());
+    return s;
+  }
+  // Every output keeps its own memo; none is shared across outputs.
+  MatchContext* context() const { return nullptr; }
+
+  const WhyEvaluator& evaluator(size_t i) const { return evals_[i]; }
+  size_t total_unexpected() const { return total_unexpected_; }
+
+ private:
+  std::vector<QNodeId> outputs_;
+  std::vector<WhyEvaluator> evals_;
+  size_t total_unexpected_ = 0;
+  size_t guard_m_;
+  const CancelToken* cancel_;
+};
+
+static_assert(RewriteEvaluator<PooledWhyEvaluator>);
+
+// The multi-output picky set: the union of the per-output generations,
+// deduplicated and budget-screened. An operator's cost is taken w.r.t. its
+// *nearest* output (the max of the per-output costs, since centrality
+// grows as distance shrinks).
+void MultiOutputPicky(
+    const Graph& g, const Query& q,
+    const std::vector<std::vector<NodeId>>& answers_per_output,
+    const PooledWhyEvaluator& eval, const AnswerConfig& cfg,
+    std::vector<EditOp>* usable, std::vector<double>* costs) {
+  std::vector<CostModel> cost_models;
+  std::vector<EditOp> picky;
+  for (size_t i = 0; i < q.outputs().size(); ++i) {
+    Query projected = q;
+    projected.SetOutput(q.outputs()[i]);
+    cost_models.emplace_back(projected, g, cfg.weighted_cost);
+    for (EditOp& op : GenPickyWhy(g, projected, answers_per_output[i],
+                                  eval.evaluator(i).unexpected(), cfg)) {
+      picky.push_back(std::move(op));
+    }
+  }
+  for (EditOp& op : picky) {
+    if (std::find(usable->begin(), usable->end(), op) != usable->end()) {
+      continue;
+    }
+    double c = 0.0;
+    for (const CostModel& m : cost_models) c = std::max(c, m.Cost(op));
+    if (c <= cfg.budget + kEps) {
+      usable->push_back(std::move(op));
+      costs->push_back(c);
+    }
+  }
 }
 
 }  // namespace
@@ -232,127 +340,36 @@ RewriteAnswer ExactWhyMultiOutput(
     const AnswerConfig& cfg) {
   RewriteAnswer out;
   out.rewritten = q;
-  const std::vector<QNodeId>& outputs = q.outputs();
-  size_t n_out = outputs.size();
-
-  // Per-output projections of Q, evaluators, and cost models.
-  std::vector<Query> projections;
-  std::vector<WhyEvaluator> evals;
-  std::vector<CostModel> cost_models;
-  size_t total_unexpected = 0;
-  for (size_t i = 0; i < n_out; ++i) {
-    Query qi = q;
-    qi.SetOutput(outputs[i]);
-    projections.push_back(qi);
-    WhyQuestion wi{unexpected_per_output[i]};
-    evals.emplace_back(g, answers_per_output[i], wi, cfg.guard_m);
-    cost_models.emplace_back(qi, g, cfg.weighted_cost);
-    total_unexpected += evals.back().unexpected().size();
-  }
-  if (total_unexpected == 0) return out;
-
-  // Picky union over per-output generations; cost of an operator is taken
-  // w.r.t. its *nearest* output (the max of the per-output costs, since
-  // centrality grows as distance shrinks).
-  std::vector<EditOp> picky;
-  for (size_t i = 0; i < n_out; ++i) {
-    std::vector<EditOp> ops =
-        GenPickyWhy(g, projections[i], answers_per_output[i],
-                    evals[i].unexpected(), cfg);
-    for (EditOp& op : ops) picky.push_back(std::move(op));
-  }
-  auto op_cost = [&](const EditOp& op) {
-    double c = 0.0;
-    for (const CostModel& m : cost_models) c = std::max(c, m.Cost(op));
-    return c;
-  };
+  PooledWhyEvaluator eval(g, q, answers_per_output, unexpected_per_output,
+                          cfg);
+  if (eval.total_unexpected() == 0) return out;
   std::vector<EditOp> usable;
   std::vector<double> costs;
-  for (EditOp& op : picky) {
-    bool dup = false;
-    for (const EditOp& seen : usable) {
-      if (seen == op) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
-    double c = op_cost(op);
-    if (c <= cfg.budget + kEps) {
-      usable.push_back(std::move(op));
-      costs.push_back(c);
-    }
-  }
+  MultiOutputPicky(g, q, answers_per_output, eval, cfg, &usable, &costs);
   out.picky_count = usable.size();
 
-  auto pooled_eval = [&](const OperatorSet& ops, EvalResult* result) {
-    size_t excluded = 0;
-    size_t guard = 0;
-    // One exact evaluation per output; a cancelled request stops here with
-    // partial counts (the enumeration callback below aborts right after).
-    for (size_t i = 0; i < n_out && !CancelRequested(cfg.cancel); ++i) {
-      Query rewritten = ApplyOperators(projections[i], ops);
-      const std::vector<NodeId> affected =
-          evals[i].AffectedAnswers(rewritten);
-      for (NodeId v : affected) {
-        if (evals[i].IsUnexpected(v)) {
-          ++excluded;
-        } else {
-          ++guard;
-        }
-      }
-    }
-    result->closeness = static_cast<double>(excluded) /
-                        static_cast<double>(total_unexpected);
-    result->guard = guard;
-    result->guard_ok = guard <= cfg.guard_m;
-  };
-
-  double best_cl = -1.0;
-  double best_cost = std::numeric_limits<double>::infinity();
-  OperatorSet best_ops;
-  EvalResult best_eval;
-  AdmitFn admit = [&](const std::vector<size_t>& cur, size_t next) {
-    OperatorSet ops;
-    for (size_t i : cur) ops.push_back(usable[i]);
-    ops.push_back(usable[next]);
-    EvalResult r;
-    pooled_eval(ops, &r);
-    return r.guard_ok;
-  };
-  MbsStats stats = EnumerateMaximalBoundedSets(
-      costs, BuildConflicts(usable), cfg.budget, cfg.max_mbs,
-      [&](const std::vector<size_t>& idx) {
-        if (CancelRequested(cfg.cancel)) return false;  // abort enumeration
-        ++out.sets_verified;
-        OperatorSet ops;
-        for (size_t i : idx) ops.push_back(usable[i]);
-        EvalResult r;
-        pooled_eval(ops, &r);
-        if (!r.guard_ok) return true;
-        double c = 0.0;
-        for (const EditOp& op : ops) c += op_cost(op);
-        if (r.closeness > best_cl + kEps ||
-            (r.closeness > best_cl - kEps && c < best_cost)) {
-          best_cl = r.closeness;
-          best_cost = c;
-          best_ops = std::move(ops);
-          best_eval = r;
-        }
-        return best_cl < 1.0 - kEps;
-      },
-      admit);
-  out.exhaustive = !stats.truncated && !CancelRequested(cfg.cancel);
-  if (best_cl <= 0.0 || best_ops.empty()) {
-    pooled_eval({}, &out.eval);
-    return out;
+  internal::ExactSearchOutcome search =
+      internal::ExactMbsSearch<PooledWhyEvaluator>(
+          q, usable, costs, cfg, eval, [&] {
+            return std::make_unique<PooledWhyEvaluator>(
+                g, q, answers_per_output, unexpected_per_output, cfg);
+          });
+  out.sets_enumerated = search.stats.emitted;
+  out.sets_verified = search.verified;
+  out.exhaustive = !search.stats.truncated && !search.timed_out &&
+                   !CancelRequested(cfg.cancel);
+  if (search.best_cl <= 0.0 || search.best_ops.empty()) {
+    out.eval = eval.Evaluate(q);
+  } else {
+    out.found = true;
+    out.ops = std::move(search.best_ops);
+    out.rewritten = ApplyOperators(q, out.ops);
+    out.eval = search.best_eval;
+    out.cost = search.best_cost;
+    out.estimated_closeness = out.eval.closeness;
   }
-  out.found = true;
-  out.ops = std::move(best_ops);
-  out.rewritten = ApplyOperators(q, out.ops);
-  out.eval = best_eval;
-  out.cost = best_cost;
-  out.estimated_closeness = best_eval.closeness;
+  search.ctx.Add(eval.ContextStats());
+  internal::FillContextStats(out, search.ctx);
   return out;
 }
 
@@ -364,36 +381,12 @@ RewriteAnswer ApproxWhyMultiOutput(
   RewriteAnswer out;
   out.exhaustive = true;
   out.rewritten = q;
-  const std::vector<QNodeId>& outputs = q.outputs();
-  size_t n_out = outputs.size();
-
-  std::vector<Query> projections;
-  std::vector<WhyEvaluator> evals;
-  std::vector<CostModel> cost_models;
-  size_t total_unexpected = 0;
-  for (size_t i = 0; i < n_out; ++i) {
-    Query qi = q;
-    qi.SetOutput(outputs[i]);
-    projections.push_back(qi);
-    WhyQuestion wi{unexpected_per_output[i]};
-    evals.emplace_back(g, answers_per_output[i], wi, cfg.guard_m);
-    cost_models.emplace_back(qi, g, cfg.weighted_cost);
-    total_unexpected += evals.back().unexpected().size();
-  }
-  if (total_unexpected == 0) return out;
-
-  std::vector<EditOp> picky;
-  for (size_t i = 0; i < n_out; ++i) {
-    std::vector<EditOp> ops =
-        GenPickyWhy(g, projections[i], answers_per_output[i],
-                    evals[i].unexpected(), cfg);
-    for (EditOp& op : ops) picky.push_back(std::move(op));
-  }
-  auto op_cost = [&](const EditOp& op) {
-    double c = 0.0;
-    for (const CostModel& m : cost_models) c = std::max(c, m.Cost(op));
-    return c;
-  };
+  PooledWhyEvaluator eval(g, q, answers_per_output, unexpected_per_output,
+                          cfg);
+  if (eval.total_unexpected() == 0) return out;
+  std::vector<EditOp> usable;
+  std::vector<double> costs;
+  MultiOutputPicky(g, q, answers_per_output, eval, cfg, &usable, &costs);
 
   // Per-operator pooled effect sets, verified exactly once per output.
   struct Cand {
@@ -404,37 +397,24 @@ RewriteAnswer ApproxWhyMultiOutput(
     size_t guard = 0;
   };
   std::vector<Cand> cands;
-  for (EditOp& op : picky) {
-    // Each candidate costs n_out exact verifications; stop generating
+  for (size_t k = 0; k < usable.size(); ++k) {
+    // Each candidate costs one exact verification per output; stop
     // (and select from what exists) once the deadline expires.
     if (CancelRequested(cfg.cancel)) {
       out.exhaustive = false;
       break;
     }
-    bool dup = false;
-    for (const Cand& seen : cands) {
-      if (seen.op == op) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
-    double c = op_cost(op);
-    if (c > cfg.budget + kEps) continue;
     Cand cand;
-    cand.op = std::move(op);
-    cand.cost = c;
-    for (size_t i = 0; i < n_out && !CancelRequested(cfg.cancel); ++i) {
-      Query single = ApplyOperators(projections[i], {cand.op});
-      const std::vector<NodeId> affected = evals[i].AffectedAnswers(single);
-      for (NodeId v : affected) {
-        if (evals[i].IsUnexpected(v)) {
-          cand.excluded.emplace_back(i, v);
-        } else {
-          ++cand.guard;
-        }
-      }
-    }
+    cand.op = std::move(usable[k]);
+    cand.cost = costs[k];
+    eval.ForEachAffected(ApplyOperators(q, {cand.op}),
+                         [&](size_t output, NodeId v, bool unexpected) {
+                           if (unexpected) {
+                             cand.excluded.emplace_back(output, v);
+                           } else {
+                             ++cand.guard;
+                           }
+                         });
     cands.push_back(std::move(cand));
   }
   out.picky_count = cands.size();
@@ -485,38 +465,21 @@ RewriteAnswer ApproxWhyMultiOutput(
     for (const auto& key : cands[b].excluded) covered.insert(key);
   }
 
-  if (selected.empty()) return out;
-  OperatorSet ops;
-  for (size_t j : selected) ops.push_back(cands[j].op);
-  out.ops = std::move(ops);
-  out.rewritten = ApplyOperators(q, out.ops);
-  out.cost = spent;
-  // Exact pooled evaluation for reporting; a cancelled request reports
-  // from the outputs verified so far.
-  size_t excluded = 0;
-  size_t guard = 0;
-  for (size_t i = 0; i < n_out && !CancelRequested(cfg.cancel); ++i) {
-    Query rewritten = ApplyOperators(projections[i], out.ops);
-    const std::vector<NodeId> affected = evals[i].AffectedAnswers(rewritten);
-    for (NodeId v : affected) {
-      if (evals[i].IsUnexpected(v)) {
-        ++excluded;
-      } else {
-        ++guard;
-      }
-    }
+  if (!selected.empty()) {
+    for (size_t j : selected) out.ops.push_back(cands[j].op);
+    out.rewritten = ApplyOperators(q, out.ops);
+    out.cost = spent;
+    // Exact pooled evaluation for reporting; a cancelled request reports
+    // from the outputs verified so far.
+    out.eval = eval.Evaluate(out.rewritten);
+    if (CancelRequested(cfg.cancel)) out.exhaustive = false;
+    out.estimated_closeness =
+        static_cast<double>(covered.size()) /
+        static_cast<double>(eval.total_unexpected());
+    out.found = out.eval.guard_ok && out.eval.closeness > 0.0;
   }
-  out.eval.closeness =
-      static_cast<double>(excluded) / static_cast<double>(total_unexpected);
-  out.eval.guard = guard;
-  out.eval.guard_ok = guard <= cfg.guard_m;
-  if (CancelRequested(cfg.cancel)) out.exhaustive = false;
-  out.estimated_closeness =
-      static_cast<double>(covered.size()) /
-      static_cast<double>(total_unexpected);
-  out.found = out.eval.guard_ok && out.eval.closeness > 0.0;
+  internal::FillContextStats(out, eval.ContextStats());
   return out;
 }
-
 
 }  // namespace whyq

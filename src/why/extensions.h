@@ -47,6 +47,8 @@ WhySoManyResult AnswerWhySoMany(const Graph& g, const Query& q,
 /// pooled: excluded unexpected entities over all outputs / total
 /// unexpected; the guard pools collateral exclusions the same way.
 /// Exact (MBS-based) algorithm; operator costs use the nearest output.
+/// Both multi-output algorithms evaluate under cfg.semantics (answers must
+/// come from the same semantics) and honor cfg.cancel.
 RewriteAnswer ExactWhyMultiOutput(
     const Graph& g, const Query& q,
     const std::vector<std::vector<NodeId>>& answers_per_output,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/figure1.h"
+#include "matcher/match_engine.h"
 #include "matcher/matcher.h"
 #include "why/extensions.h"
 
@@ -126,6 +127,54 @@ TEST_F(ExtensionsTest, ApproxMultiOutputMatchesExactOnFigure1) {
   EXPECT_GE(approx.eval.closeness, 0.5 * exact.eval.closeness);
   EXPECT_LE(approx.cost, cfg.budget + 1e-9);
   for (const EditOp& op : approx.ops) EXPECT_TRUE(IsRefinement(op.kind));
+}
+
+TEST(MultiOutputSemanticsTest, SingleOutputSimulationMatchesExactWhy) {
+  // The query asks for an A with two B children. a1 has one B neighbor,
+  // so it is an answer under simulation only, where both children may
+  // share it; with the same x as a2 no refinement can exclude a1 without
+  // a2. a3 differs in x, so excluding it is possible: the simulation
+  // closeness for V_N = {a1, a3} is 0.5 (an isomorphism evaluator would
+  // count a1 as excluded by every rewrite and report 1).
+  GraphBuilder gb;
+  NodeId a1 = gb.AddNode("A");
+  NodeId a2 = gb.AddNode("A");
+  NodeId a3 = gb.AddNode("A");
+  gb.SetAttr(a1, "x", Value(int64_t{1}));
+  gb.SetAttr(a2, "x", Value(int64_t{1}));
+  gb.SetAttr(a3, "x", Value(int64_t{3}));
+  gb.AddEdge(a1, gb.AddNode("B"), "r");
+  for (NodeId a : {a2, a3}) {
+    gb.AddEdge(a, gb.AddNode("B"), "r");
+    gb.AddEdge(a, gb.AddNode("B"), "r");
+  }
+  Graph g = gb.Build();
+  Query q;
+  QNodeId ua = q.AddNode(*g.node_labels().Find("A"));
+  QNodeId u1 = q.AddNode(*g.node_labels().Find("B"));
+  QNodeId u2 = q.AddNode(*g.node_labels().Find("B"));
+  SymbolId r = *g.edge_labels().Find("r");
+  q.AddEdge(ua, u1, r);
+  q.AddEdge(ua, u2, r);
+  q.SetOutput(ua);
+
+  AnswerConfig cfg;
+  cfg.semantics = MatchSemantics::kSimulation;
+  cfg.guard_m = 0;
+  cfg.minimize_cost = false;  // the multi-output search has no minimizer
+  std::vector<NodeId> answers =
+      MakeMatchEngine(g, cfg.semantics)->MatchOutput(q);
+  ASSERT_EQ(answers, (std::vector<NodeId>{a1, a2, a3}));
+  WhyQuestion w{{a1, a3}};
+  RewriteAnswer single = ExactWhy(g, q, answers, w, cfg);
+  RewriteAnswer multi =
+      ExactWhyMultiOutput(g, q, {answers}, {w.unexpected}, cfg);
+  ASSERT_TRUE(single.found);
+  EXPECT_DOUBLE_EQ(single.eval.closeness, 0.5);
+  EXPECT_EQ(multi.found, single.found);
+  EXPECT_EQ(multi.ops, single.ops);
+  EXPECT_DOUBLE_EQ(multi.eval.closeness, single.eval.closeness);
+  EXPECT_DOUBLE_EQ(multi.cost, single.cost);
 }
 
 TEST_F(ExtensionsTest, ApproxMultiOutputEmptyQuestionsNoop) {

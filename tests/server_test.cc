@@ -10,6 +10,7 @@
 #include <sys/time.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <set>
@@ -465,6 +466,22 @@ TEST_F(ServerTest, IdleConnectionsAreReaped) {
   // Never send a byte: the reaper must close us within a few ticks.
   EXPECT_TRUE(client.ReadEof());
   EXPECT_EQ(server_->Snapshot().idle_closed, 1u);
+}
+
+TEST_F(ServerTest, FailedStatsDumpLeavesNoTmpFile) {
+  // The dump path names an existing directory, so publishing by rename
+  // fails: the tmp file must be removed and the failure kept for the CLI.
+  namespace fs = std::filesystem;
+  fs::path dir = fs::path(testing::TempDir()) / "whyq_stats_dump_is_a_dir";
+  fs::create_directories(dir);
+  ServerConfig cfg;
+  cfg.stats_json_path = dir.string();
+  StartServer(cfg);
+  StopServer();  // the final dump is forced
+  EXPECT_FALSE(fs::exists(dir.string() + ".tmp"));
+  EXPECT_TRUE(fs::is_directory(dir));
+  EXPECT_NE(server_->stats_dump_error(), "");
+  fs::remove_all(dir);
 }
 
 TEST_F(ServerTest, ConnectionCapRefusesExtraClients) {

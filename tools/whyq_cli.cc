@@ -632,8 +632,7 @@ int CmdWhySoMany(const Options& o) {
     answers = sp->prepared->answers;
     cfg.path_index = &sp->prepared->path_index;
   } else {
-    Matcher matcher(g);
-    answers = matcher.MatchOutput(*q);
+    answers = MakeMatchEngine(g, o.semantics)->MatchOutput(*q);
   }
   trace.answer_match_ms = stage.ElapsedMillis();
   trace.prepare_ms = trace.answer_match_ms;
@@ -898,6 +897,9 @@ int CmdServe(const Options& o) {
   std::printf("\n");
   std::fflush(stdout);  // scripts behind a pipe parse the port line
   int rc = srv.Run(&g_stop);
+  if (!srv.stats_dump_error().empty()) {
+    std::fprintf(stderr, "whyq_server: %s\n", srv.stats_dump_error().c_str());
+  }
   server::ServerSnapshot snap = srv.Snapshot();
   std::printf(
       "whyq_server drained %s: %llu conns, %llu requests, %llu admitted, "
