@@ -72,11 +72,9 @@ size_t ThreadPool::queued_tasks() const {
   return tasks_.size();
 }
 
-void ThreadPool::RunSlot(ForState& state, size_t slot) {
-  for (;;) {
+void ThreadPool::RunSlot(ForState& state, size_t slot, size_t first) {
+  for (size_t i = first; i < state.n; i = state.next.fetch_add(1)) {
     if (state.abort.load()) return;
-    size_t i = state.next.fetch_add(1);
-    if (i >= state.n) return;
     try {
       state.body(i, slot);
     } catch (...) {
@@ -104,6 +102,9 @@ void ThreadPool::ParallelFor(
   auto state = std::make_shared<ForState>();
   state->n = n;
   state->body = body;
+  // The caller claims its first index before any helper can start, so
+  // slot 0 always participates even when the helpers are scheduled first.
+  const size_t first = state->next.fetch_add(1);
   {
     MutexLock lock(mu_);
     if (!stopping_) {
@@ -113,7 +114,7 @@ void ThreadPool::ParallelFor(
             MutexLock slock(state->mu);
             ++state->executing;
           }
-          RunSlot(*state, s);
+          RunSlot(*state, s, state->next.fetch_add(1));
           {
             MutexLock slock(state->mu);
             --state->executing;
@@ -125,7 +126,7 @@ void ThreadPool::ParallelFor(
   }
   cv_.NotifyAll();
 
-  RunSlot(*state, 0);  // the caller is executor slot 0
+  RunSlot(*state, 0, first);  // the caller is executor slot 0
 
   // The caller's loop only returns once every index was claimed; wait for
   // helpers that are still running a claimed body. Helpers dequeued later
