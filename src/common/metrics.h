@@ -103,6 +103,7 @@ struct RequestTrace {
   uint64_t matcher_candidates = 0;  // |output-candidate set| used
   uint64_t mbs_enumerated = 0;      // maximal bounded sets emitted (exact)
   uint64_t mbs_verified = 0;        // ... of which verified (exact)
+  uint64_t guard_checks = 0;        // guard admit calls that ran the matcher
   uint64_t greedy_rounds = 0;       // selection rounds (greedy algorithms)
 
   // Candidate-memo (MatchContext) counters summed over every context the

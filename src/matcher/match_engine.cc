@@ -37,6 +37,10 @@ class IsoMatchEngine : public MatchEngine {
       const Query& q, const std::vector<NodeId>& nodes) const override {
     return matcher_.TestAnswers(q, nodes);
   }
+  size_t CountNonAnswers(const Query& q, const std::vector<NodeId>& nodes,
+                         size_t limit) const override {
+    return matcher_.CountNonAnswers(q, nodes, limit);
+  }
 
  private:
   Matcher matcher_;

@@ -62,6 +62,19 @@ class MatchEngine {
     }
     return out;
   }
+
+  /// Non-answers among `nodes`, stopping past `limit` (returns limit + 1
+  /// then): min(limit + 1, zeros of TestAnswers). The guard primitive of
+  /// Why rewrites; engines override it to stop their batched sweep early.
+  virtual size_t CountNonAnswers(const Query& q,
+                                 const std::vector<NodeId>& nodes,
+                                 size_t limit) const {
+    size_t lost = 0;
+    for (NodeId v : nodes) {
+      if (!IsAnswer(q, v) && ++lost > limit) break;
+    }
+    return lost;
+  }
 };
 
 /// Factory. The returned engine borrows `g` (must outlive the engine).

@@ -278,6 +278,22 @@ std::vector<uint8_t> Matcher::TestAnswers(
   return out;
 }
 
+size_t Matcher::CountNonAnswers(const Query& q,
+                                const std::vector<NodeId>& nodes,
+                                size_t limit) const {
+  std::vector<PlanStep> plan = BuildPlan(q, q.output());
+  size_t lost = 0;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (cancel_ != nullptr && (cancel_hit_ || cancel_->Expired())) {
+      cancel_hit_ = true;
+      // The untested nodes count as lost (conservative, as TestAnswers).
+      return std::min(limit + 1, lost + (nodes.size() - i));
+    }
+    if (!SearchFrom(q, plan, nodes[i]) && ++lost > limit) return lost;
+  }
+  return lost;
+}
+
 bool Matcher::HasAnyMatch(const Query& q) const {
   std::vector<PlanStep> plan = BuildPlan(q, q.output());
   for (NodeId v : RootCandidates(q, plan)) {

@@ -86,6 +86,14 @@ class Matcher {
   std::vector<uint8_t> TestAnswers(const Query& q,
                                    const std::vector<NodeId>& nodes) const;
 
+  /// Counts the nodes of `nodes` that are not answers, stopping once the
+  /// count exceeds `limit` (returns limit+1 then): min(limit+1, zeros of
+  /// TestAnswers) with one matching plan. When the armed token expires,
+  /// the untested nodes count as lost, as TestAnswers leaves them 0. This
+  /// is the early-terminating guard check for Why rewrites.
+  size_t CountNonAnswers(const Query& q, const std::vector<NodeId>& nodes,
+                         size_t limit) const;
+
   /// Does the query have at least one match at all?
   bool HasAnyMatch(const Query& q) const;
 

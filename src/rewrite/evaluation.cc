@@ -41,15 +41,12 @@ WhyEvaluator::WhyEvaluator(const Graph& g, std::vector<NodeId> answers,
 
 EvalResult WhyEvaluator::Evaluate(const Query& rewritten) const {
   EvalResult r;
-  // Guard first: collateral exclusions from the desired answers (batched:
-  // one matching plan for the whole sweep).
-  std::vector<uint8_t> desired_ok =
-      engine_->TestAnswers(rewritten, desired_answers_);
-  for (uint8_t ok : desired_ok) {
-    if (!ok && ++r.guard > guard_m_) {
-      r.guard_ok = false;
-      return r;
-    }
+  // Guard first: collateral exclusions from the desired answers (one
+  // matching plan for the sweep, which stops at the (m+1)-th loss).
+  r.guard = engine_->CountNonAnswers(rewritten, desired_answers_, guard_m_);
+  if (r.guard > guard_m_) {
+    r.guard_ok = false;
+    return r;
   }
   if (unexpected_.empty()) return r;
   std::vector<uint8_t> unexpected_ok =
@@ -62,12 +59,8 @@ EvalResult WhyEvaluator::Evaluate(const Query& rewritten) const {
 }
 
 bool WhyEvaluator::GuardOk(const Query& rewritten) const {
-  size_t guard = 0;
-  std::vector<uint8_t> ok = engine_->TestAnswers(rewritten, desired_answers_);
-  for (uint8_t o : ok) {
-    if (!o && ++guard > guard_m_) return false;
-  }
-  return true;
+  return engine_->CountNonAnswers(rewritten, desired_answers_, guard_m_) <=
+         guard_m_;
 }
 
 std::vector<NodeId> WhyEvaluator::AffectedAnswers(

@@ -422,6 +422,7 @@ ServiceResponse WhyqService::Run(const ServiceRequest& req,
     if (req.algo == AlgoChoice::kExact) {
       resp.trace.mbs_enumerated = resp.answer.sets_enumerated;
       resp.trace.mbs_verified = resp.answer.sets_verified;
+      resp.trace.guard_checks = resp.answer.guard_checks;
     } else {
       // Greedy variants verify one candidate set per round.
       resp.trace.greedy_rounds = resp.answer.sets_verified;

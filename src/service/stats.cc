@@ -68,6 +68,7 @@ void AppendWork(std::ostringstream& os, const WorkTotals& w) {
   os << "{\"matcher_candidates\":" << w.matcher_candidates
      << ",\"mbs_enumerated\":" << w.mbs_enumerated
      << ",\"mbs_verified\":" << w.mbs_verified
+     << ",\"guard_checks\":" << w.guard_checks
      << ",\"greedy_rounds\":" << w.greedy_rounds
      << ",\"ctx_hits\":" << w.ctx_hits << ",\"ctx_misses\":" << w.ctx_misses
      << ",\"ctx_delta_builds\":" << w.ctx_delta_builds
@@ -124,6 +125,7 @@ void ServiceStats::RecordCompleted(const std::string& klass,
   work_.matcher_candidates += trace.matcher_candidates;
   work_.mbs_enumerated += trace.mbs_enumerated;
   work_.mbs_verified += trace.mbs_verified;
+  work_.guard_checks += trace.guard_checks;
   work_.greedy_rounds += trace.greedy_rounds;
   work_.ctx_hits += trace.ctx_hits;
   work_.ctx_misses += trace.ctx_misses;
@@ -245,6 +247,7 @@ std::string StatsSnapshot::ToString() const {
     os << "work totals: candidates=" << work.matcher_candidates
        << " mbs-enumerated=" << work.mbs_enumerated
        << " mbs-verified=" << work.mbs_verified
+       << " guard-checks=" << work.guard_checks
        << " greedy-rounds=" << work.greedy_rounds << "\n";
     os << "ctx totals: hits=" << work.ctx_hits
        << " misses=" << work.ctx_misses
@@ -330,6 +333,7 @@ std::string StatsSnapshot::ToJson() const {
     w.matcher_candidates = e.trace.matcher_candidates;
     w.mbs_enumerated = e.trace.mbs_enumerated;
     w.mbs_verified = e.trace.mbs_verified;
+    w.guard_checks = e.trace.guard_checks;
     w.greedy_rounds = e.trace.greedy_rounds;
     w.ctx_hits = e.trace.ctx_hits;
     w.ctx_misses = e.trace.ctx_misses;

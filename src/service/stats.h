@@ -50,6 +50,7 @@ struct WorkTotals {
   uint64_t matcher_candidates = 0;
   uint64_t mbs_enumerated = 0;
   uint64_t mbs_verified = 0;
+  uint64_t guard_checks = 0;
   uint64_t greedy_rounds = 0;
   // Candidate-memo (MatchContext) totals — see RequestTrace.
   uint64_t ctx_hits = 0;

@@ -395,6 +395,7 @@ RewriteAnswer RunExact(const Graph& g, const Query& q,
   EvalResult best_eval = search.best_eval;
   out.sets_enumerated = search.stats.emitted;
   out.sets_verified = search.verified;
+  out.guard_checks = search.guard_checks;
   out.exhaustive = !search.stats.truncated && !search.timed_out;
   MatchContext::Stats ctx_stats = search.ctx;  // slot evaluators' share
 

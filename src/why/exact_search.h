@@ -51,6 +51,9 @@ struct ExactSearchOutcome {
   size_t verified = 0;
   bool timed_out = false;
   MbsStats stats;
+  // Guard checks the serial search made: stats.guard_checks without the
+  // checks a parallel run spends enumerating past an early stop.
+  size_t guard_checks = 0;
   // Candidate-memo counters summed over the slot evaluators (they are
   // destroyed inside the search; the caller adds its own evaluator's).
   MatchContext::Stats ctx;
@@ -113,9 +116,11 @@ ExactSearchOutcome ExactMbsSearch(
     OperatorSet ops;
     EvalResult r;
   };
+  bool stopped_early = false;  // the reduction stopped inside a batch
   out.stats = EnumerateMaximalBoundedSetsBatched(
       costs, BuildConflicts(usable), cfg.budget, cfg.max_mbs, batch_size,
-      [&](const std::vector<std::vector<size_t>>& batch) {
+      [&](const std::vector<std::vector<size_t>>& batch,
+          const std::vector<size_t>& guard_checks) {
         std::vector<Item> items(batch.size());
         ThreadPool::Shared().ParallelFor(
             batch.size(), width, [&](size_t i, size_t slot) {
@@ -141,11 +146,15 @@ ExactSearchOutcome ExactMbsSearch(
               out.best_eval = it.r;
             }
           }
-          if (past_deadline()) {
-            out.timed_out = true;
+          const bool late = past_deadline();
+          if (late) out.timed_out = true;
+          if (late || out.best_cl >= 1.0 - kEps) {
+            // Deadline or early termination: the serial search would stop
+            // right after emitting this set.
+            stopped_early = true;
+            out.guard_checks = guard_checks[i];
             return false;
           }
-          if (out.best_cl >= 1.0 - kEps) return false;  // early termination
         }
         return true;
       },
@@ -157,6 +166,8 @@ ExactSearchOutcome ExactMbsSearch(
         }
         return false;
       });
+  // Exhaustion (or a cap) after the last emission: every check counts.
+  if (!stopped_early) out.guard_checks = out.stats.guard_checks;
   for (const auto& se : slot_evals) out.ctx.Add(se->ContextStats());
   return out;
 }

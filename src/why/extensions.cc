@@ -6,6 +6,7 @@
 #include <set>
 #include <utility>
 
+#include "matcher/match_engine.h"
 #include "matcher/matcher.h"
 #include "matcher/path_index.h"
 #include "rewrite/cost_model.h"
@@ -258,8 +259,9 @@ WhySoManyResult AnswerWhySoMany(const Graph& g, const Query& q,
     out.found = true;
     return out;
   }
-  Matcher matcher(g);
-  matcher.set_cancel_token(cfg.cancel);
+  // `after` is counted under the question's semantics, like `answers`.
+  std::unique_ptr<MatchEngine> engine = MakeMatchEngine(g, cfg.semantics);
+  engine->SetCancelToken(cfg.cancel);
   CostModel cost(q, g, cfg.weighted_cost);
   std::optional<PathIndex> own_pidx;
   if (cfg.path_index == nullptr) own_pidx.emplace(q, cfg.path_index_paths);
@@ -328,7 +330,7 @@ WhySoManyResult AnswerWhySoMany(const Graph& g, const Query& q,
   out.ops = selected;
   out.rewritten = ApplyOperators(q, selected);
   out.cost = cost.Cost(selected);
-  out.after = matcher.MatchOutput(out.rewritten).size();
+  out.after = engine->MatchOutput(out.rewritten).size();
   out.found = out.after <= target_k;
   return out;
 }
@@ -356,6 +358,7 @@ RewriteAnswer ExactWhyMultiOutput(
           });
   out.sets_enumerated = search.stats.emitted;
   out.sets_verified = search.verified;
+  out.guard_checks = search.guard_checks;
   out.exhaustive = !search.stats.truncated && !search.timed_out &&
                    !CancelRequested(cfg.cancel);
   if (search.best_cl <= 0.0 || search.best_ops.empty()) {

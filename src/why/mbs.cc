@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <unordered_map>
 
 #include "common/check.h"
 
@@ -12,14 +13,50 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
+// Receives each MBS together with MbsStats::guard_checks at its emission.
+using EmitFn =
+    std::function<bool(const std::vector<size_t>& set, size_t guard_checks)>;
+
+struct IndexSetHash {
+  size_t operator()(const std::vector<size_t>& s) const {
+    uint64_t h = 1469598103934665603ull;  // FNV-1a over the indices
+    for (size_t i : s) h = (h ^ i) * 1099511628211ull;
+    return static_cast<size_t>(h);
+  }
+};
+
+// Verdict of a singleton {j}, filled lazily.
+enum : uint8_t { kUnknown = 0, kAlive = 1, kDead = 2 };
+
 struct Enumerator {
+  Enumerator(const std::vector<double>& costs,
+             const std::vector<std::vector<size_t>>& conflicts_in,
+             const std::vector<size_t>& order_in, double budget_in,
+             size_t cap, const EmitFn& visit_in, const AdmitFn& admit_in,
+             const std::function<bool()>& should_stop_in)
+      : cost(costs),
+        conflicts(conflicts_in),
+        order(order_in),
+        budget(budget_in),
+        max_sets(cap),
+        max_visits(cap * 64),
+        visit(visit_in),
+        admit(admit_in),
+        should_stop(should_stop_in),
+        conflict_count(costs.size(), 0),
+        in_set(costs.size(), 0),
+        singleton(costs.size(), kUnknown),
+        path_rejected(costs.size(), 0) {
+    current.reserve(costs.size());
+  }
+
   const std::vector<double>& cost;  // original indexing
   const std::vector<std::vector<size_t>>& conflicts;
   const std::vector<size_t>& order;  // ranks -> original indices (ascending)
   double budget;
   size_t max_sets;
   size_t max_visits;
-  const std::function<bool(const std::vector<size_t>&)>& visit;
+  const EmitFn& visit;
   const AdmitFn& admit;
   const std::function<bool()>& should_stop;
 
@@ -31,6 +68,35 @@ struct Enumerator {
   size_t visits = 0;
   MbsStats stats;
   bool stop = false;
+
+  // Lemma 1 shortcuts over a monotone `admit` (see AdmitFn).
+  std::vector<uint8_t> singleton;      // per original index: kUnknown/...
+  std::vector<uint8_t> path_rejected;  // set while its exclude subtree runs
+  std::unordered_map<std::vector<size_t>, bool, IndexSetHash> memo;
+  std::vector<size_t> key;             // scratch: sorted current ∪ {j}
+
+  bool Ask(const std::vector<size_t>& base, size_t j) {
+    ++stats.guard_checks;
+    return admit(base, j);
+  }
+
+  // Is current ∪ {j} admissible? Runs `admit` only when neither a dead
+  // singleton, a rejection higher up this path, nor the memo settles it.
+  bool Admissible(size_t j) {
+    if (!admit) return true;
+    if (singleton[j] == kUnknown) singleton[j] = Ask({}, j) ? kAlive : kDead;
+    if (singleton[j] == kDead) return false;
+    if (current.empty()) return true;
+    if (path_rejected[j]) return false;
+    key.assign(current.begin(), current.end());
+    key.push_back(j);
+    std::sort(key.begin(), key.end());
+    auto it = memo.find(key);
+    if (it != memo.end()) return it->second;
+    bool ok = Ask(current, j);
+    memo.emplace(key, ok);
+    return ok;
+  }
 
   void Include(size_t idx) {
     current.push_back(idx);
@@ -46,11 +112,11 @@ struct Enumerator {
     for (size_t j : conflicts[idx]) --conflict_count[j];
   }
 
-  bool Maximal() const {
+  bool Maximal() {
     for (size_t j = 0; j < cost.size(); ++j) {
       if (in_set[j] || conflict_count[j] > 0) continue;
       if (current_cost + cost[j] > budget + kEps) continue;
-      if (admit && !admit(current, j)) continue;  // inadmissible extension
+      if (!Admissible(j)) continue;  // inadmissible extension
       return false;
     }
     return true;
@@ -71,7 +137,7 @@ struct Enumerator {
       }
       if (Maximal()) {
         ++stats.emitted;
-        if (!visit(current)) {
+        if (!visit(current, stats.guard_checks)) {
           stop = true;
           return;
         }
@@ -83,10 +149,16 @@ struct Enumerator {
       return;
     }
     size_t idx = order[rank];
-    bool includable = conflict_count[idx] == 0 &&
-                      current_cost + cost[idx] <= budget + kEps &&
-                      (!admit || admit(current, idx));
-    if (includable) {
+    if (conflict_count[idx] == 0 &&
+        current_cost + cost[idx] <= budget + kEps) {
+      if (!Admissible(idx)) {
+        // Below here `current` only grows, so current ∪ {idx} stays
+        // rejected for every leaf of the exclude subtree.
+        path_rejected[idx] = 1;
+        Recurse(rank + 1);
+        path_rejected[idx] = 0;
+        return;
+      }
       Include(idx);
       Recurse(rank + 1);
       Exclude(idx);
@@ -96,6 +168,29 @@ struct Enumerator {
   }
 };
 
+MbsStats Enumerate(const std::vector<double>& costs,
+                   const std::vector<std::vector<size_t>>& conflicts,
+                   double budget, size_t max_sets, const EmitFn& visit,
+                   const AdmitFn& admit,
+                   const std::function<bool()>& should_stop) {
+  WHYQ_CHECK(conflicts.size() == costs.size());
+  std::vector<size_t> order(costs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return costs[a] < costs[b]; });
+
+  Enumerator e(costs, conflicts, order, budget, std::max<size_t>(max_sets, 1),
+               visit, admit, should_stop);
+  if (costs.empty()) {
+    // The empty set is trivially the only MBS.
+    e.stats.emitted = 1;
+    visit({}, 0);
+    return e.stats;
+  }
+  e.Recurse(0);
+  return e.stats;
+}
+
 }  // namespace
 
 MbsStats EnumerateMaximalBoundedSets(
@@ -104,64 +199,41 @@ MbsStats EnumerateMaximalBoundedSets(
     size_t max_sets,
     const std::function<bool(const std::vector<size_t>&)>& visit,
     const AdmitFn& admit, const std::function<bool()>& should_stop) {
-  WHYQ_CHECK(conflicts.size() == costs.size());
-  std::vector<size_t> order(costs.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return costs[a] < costs[b]; });
-
-  Enumerator e{costs,
-               conflicts,
-               order,
-               budget,
-               std::max<size_t>(max_sets, 1),
-               std::max<size_t>(max_sets, 1) * 64,
-               visit,
-               admit,
-               should_stop,
-               0,
-               {},
-               std::vector<size_t>(costs.size(), 0),
-               std::vector<uint8_t>(costs.size(), 0),
-               0.0,
-               0,
-               MbsStats(),
-               false};
-  if (costs.empty()) {
-    // The empty set is trivially the only MBS.
-    e.stats.emitted = 1;
-    visit({});
-    return e.stats;
-  }
-  e.current.reserve(costs.size());
-  e.Recurse(0);
-  return e.stats;
+  return Enumerate(
+      costs, conflicts, budget, max_sets,
+      [&](const std::vector<size_t>& set, size_t) { return visit(set); },
+      admit, should_stop);
 }
 
 MbsStats EnumerateMaximalBoundedSetsBatched(
     const std::vector<double>& costs,
     const std::vector<std::vector<size_t>>& conflicts, double budget,
     size_t max_sets, size_t batch_size,
-    const std::function<bool(const std::vector<std::vector<size_t>>& batch)>&
+    const std::function<bool(const std::vector<std::vector<size_t>>& batch,
+                             const std::vector<size_t>& guard_checks)>&
         visit_batch,
     const AdmitFn& admit, const std::function<bool()>& should_stop) {
   batch_size = std::max<size_t>(batch_size, 1);
   std::vector<std::vector<size_t>> batch;
+  std::vector<size_t> checks;
   batch.reserve(batch_size);
+  checks.reserve(batch_size);
   bool stopped_by_batch = false;
-  MbsStats stats = EnumerateMaximalBoundedSets(
+  MbsStats stats = Enumerate(
       costs, conflicts, budget, max_sets,
-      [&](const std::vector<size_t>& idx) {
+      [&](const std::vector<size_t>& idx, size_t guard_checks) {
         batch.push_back(idx);
+        checks.push_back(guard_checks);
         if (batch.size() < batch_size) return true;
-        bool keep_going = visit_batch(batch);
+        bool keep_going = visit_batch(batch, checks);
         batch.clear();
+        checks.clear();
         stopped_by_batch = !keep_going;
         return keep_going;
       },
       admit, should_stop);
   // Flush the tail window (enumeration exhausted or a cap fired mid-batch).
-  if (!batch.empty() && !stopped_by_batch) visit_batch(batch);
+  if (!batch.empty() && !stopped_by_batch) visit_batch(batch, checks);
   return stats;
 }
 

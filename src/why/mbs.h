@@ -23,6 +23,7 @@ namespace whyq {
 struct MbsStats {
   size_t emitted = 0;
   bool truncated = false;  // stopped by a cap, not by visit() or exhaustion
+  size_t guard_checks = 0;  // admit calls made (the ones that ran `admit`)
 };
 
 /// Optional admissibility predicate: admit(current, next) says whether
@@ -33,6 +34,20 @@ struct MbsStats {
 /// as `admit` makes the enumeration exact under guard constraints (plain
 /// budget-maximal sets can all violate a strict guard while smaller valid
 /// sets exist).
+///
+/// Contract: `admit` must be *monotone* (if S ∪ {j} is rejected, so is
+/// every superset of it) and *deterministic* (its verdict depends only on
+/// the set current ∪ {next}, not on the order of `current` or on earlier
+/// calls). The enumerator relies on both to skip calls whose verdict
+/// Lemma 1 already settles, and never asks twice about one set:
+///  - dead singletons: {j} is asked once per search, before any larger
+///    set containing j; when it fails, j is rejected everywhere;
+///  - path rejections: when the DFS rejects current ∪ {j} while choosing
+///    j, every set below that point on the same path contains current, so
+///    the maximality checks there reject j without asking;
+///  - an exact-set memo: verdicts are kept per sorted index set for the
+///    search's lifetime.
+/// The emitted sequence is the one a call per candidate would produce.
 using AdmitFn =
     std::function<bool(const std::vector<size_t>& current, size_t next)>;
 
@@ -68,11 +83,15 @@ MbsStats EnumerateMaximalBoundedSets(
 /// order* observes the same visit sequence as the serial enumeration —
 /// which is how the parallel exact algorithms stay bit-identical to their
 /// serial reference. Returning false from `visit_batch` stops enumeration.
+/// `guard_checks[i]` is MbsStats::guard_checks as it stood when batch[i]
+/// was emitted, so a caller that stops at item i can report the serial
+/// run's count rather than the work done for the lookahead past it.
 MbsStats EnumerateMaximalBoundedSetsBatched(
     const std::vector<double>& costs,
     const std::vector<std::vector<size_t>>& conflicts, double budget,
     size_t max_sets, size_t batch_size,
-    const std::function<bool(const std::vector<std::vector<size_t>>& batch)>&
+    const std::function<bool(const std::vector<std::vector<size_t>>& batch,
+                             const std::vector<size_t>& guard_checks)>&
         visit_batch,
     const AdmitFn& admit = nullptr,
     const std::function<bool()>& should_stop = nullptr);

@@ -35,6 +35,8 @@ struct RewriteAnswer {
   size_t picky_count = 0;             // |O_s|
   size_t sets_enumerated = 0;         // MBS emitted by the DFS (exact only)
   size_t sets_verified = 0;           // MBS verified / greedy steps taken
+  size_t guard_checks = 0;            // guard admit calls that ran the
+                                      // matcher (exact only)
   bool exhaustive = false;            // exact enumeration was not truncated
   // Candidate-memo (MatchContext) counters summed over every evaluator the
   // question used — the main evaluator plus all parallel executor slots.

@@ -3,6 +3,7 @@
 #include "gen/figure1.h"
 #include "matcher/match_engine.h"
 #include "matcher/matcher.h"
+#include "query/query_parser.h"
 #include "why/extensions.h"
 
 namespace whyq {
@@ -75,6 +76,39 @@ TEST_F(ExtensionsTest, WhySoManyReducesAnswer) {
     EXPECT_EQ(m.MatchOutput(r.rewritten).size(), r.after);
     for (const EditOp& op : r.ops) EXPECT_TRUE(IsRefinement(op.kind));
   }
+}
+
+// Why-so-many counts `after` under the question's semantics. Products with
+// one review match "two reviews" under simulation (which drops
+// injectivity) but not under isomorphism, so the two counts differ.
+TEST(WhySoManySemanticsTest, AfterCountsUnderSimulation) {
+  GraphBuilder b;
+  for (int64_t i = 0; i < 10; ++i) {
+    NodeId p = b.AddNode("Product");
+    b.SetAttr(p, "a", Value(i));
+    for (int64_t r = 0; r < (i % 2 == 0 ? 2 : 1); ++r) {
+      b.AddEdge(b.AddNode("Review"), p, "reviewOf");
+    }
+  }
+  Graph g = b.Build();
+  std::string error;
+  std::optional<Query> q = ParseQuery(
+      "node p Product a >= i:0\nnode r1 Review\nnode r2 Review\n"
+      "edge r1 p reviewOf\nedge r2 p reviewOf\noutput p\n",
+      g, &error);
+  ASSERT_TRUE(q.has_value()) << error;
+  AnswerConfig cfg;
+  cfg.semantics = MatchSemantics::kSimulation;
+  std::unique_ptr<MatchEngine> sim = MakeMatchEngine(g, cfg.semantics);
+  std::vector<NodeId> answers = sim->MatchOutput(*q);
+  ASSERT_EQ(answers.size(), 10u);
+  WhySoManyResult r = AnswerWhySoMany(g, *q, answers, 3, cfg);
+  EXPECT_EQ(r.before, 10u);
+  ASSERT_FALSE(r.ops.empty());
+  size_t sim_after = sim->MatchOutput(r.rewritten).size();
+  EXPECT_EQ(r.after, sim_after);
+  EXPECT_NE(Matcher(g).MatchOutput(r.rewritten).size(), sim_after)
+      << "the fixture no longer tells the semantics apart";
 }
 
 TEST_F(ExtensionsTest, MultiOutputWhyPoolsCloseness) {

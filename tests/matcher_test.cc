@@ -5,6 +5,7 @@
 #include "gen/figure1.h"
 #include "graph/neighborhood.h"
 #include "matcher/candidates.h"
+#include "matcher/match_engine.h"
 #include "matcher/matcher.h"
 
 namespace whyq {
@@ -237,6 +238,51 @@ TEST(MatcherTest, TestAnswersMatchesPointwiseIsAnswer) {
   for (size_t i = 0; i < probe.size(); ++i) {
     EXPECT_EQ(batch[i] != 0, m.IsAnswer(f.query, probe[i])) << i;
   }
+}
+
+// CountNonAnswers is the early-stopping count of TestAnswers' zeros:
+// min(limit + 1, #zeros), under both semantics, for every limit.
+TEST(MatcherTest, CountNonAnswersIsCappedZeroCountOfTestAnswers) {
+  Figure1 f = MakeFigure1();
+  std::vector<NodeId> probe;
+  for (NodeId v = 0; v < f.graph.node_count(); ++v) probe.push_back(v);
+  Query relaxed = f.query;
+  relaxed.mutable_node(relaxed.output()).literals.clear();
+  for (auto semantics :
+       {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
+    std::unique_ptr<MatchEngine> engine = MakeMatchEngine(f.graph, semantics);
+    for (const Query& q : {f.query, relaxed}) {
+      for (const std::vector<NodeId>& nodes :
+           {probe, std::vector<NodeId>{f.a5, f.s5, f.s6, f.s8, f.s9},
+            std::vector<NodeId>{}}) {
+        std::vector<uint8_t> ok = engine->TestAnswers(q, nodes);
+        size_t zeros =
+            static_cast<size_t>(std::count(ok.begin(), ok.end(), 0));
+        for (size_t limit = 0; limit <= nodes.size() + 1; ++limit) {
+          EXPECT_EQ(engine->CountNonAnswers(q, nodes, limit),
+                    std::min(limit + 1, zeros))
+              << MatchSemanticsName(semantics) << " limit " << limit
+              << " of " << nodes.size();
+        }
+      }
+    }
+  }
+}
+
+// Under an expired token the untested nodes count as lost, exactly as
+// TestAnswers leaves them 0.
+TEST(MatcherTest, CountNonAnswersTreatsCancelledNodesAsLost) {
+  Figure1 f = MakeFigure1();
+  Matcher m(f.graph);
+  CancelToken token;
+  token.Cancel();
+  m.set_cancel_token(&token);
+  std::vector<NodeId> nodes{f.a5, f.s5, f.s6};
+  std::vector<uint8_t> ok = m.TestAnswers(f.query, nodes);
+  EXPECT_EQ(std::count(ok.begin(), ok.end(), 0), 3);
+  EXPECT_EQ(m.CountNonAnswers(f.query, nodes, 10), 3u);
+  EXPECT_EQ(m.CountNonAnswers(f.query, nodes, 1), 2u);
+  EXPECT_TRUE(m.cancelled());
 }
 
 TEST(MatcherTest, MatchAllOutputsHonorsCancelToken) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "why/mbs.h"
 
@@ -189,6 +192,153 @@ TEST(MbsTest, MaxSetsTruncates) {
       [](const std::vector<size_t>&) { return true; });
   EXPECT_EQ(stats.emitted, 5u);
   EXPECT_TRUE(stats.truncated);
+}
+
+// A random *monotone* admissibility predicate: a set is admissible unless
+// it contains one of a few random forbidden subsets (so the admissible
+// family is downward closed, as the guard is under Lemma 1). The
+// enumerator must emit exactly the maximal admissible bounded sets, and
+// its Lemma 1 shortcuts must keep it from asking about one set twice,
+// about a superset of a dead singleton, or about a superset of a set it
+// was told is inadmissible higher up the same DFS path. `current` is the
+// DFS stack, so "the same path" is visible from outside: a later request
+// whose `current` extends the rejected request's `current`.
+class MbsAdmitPropertyTest : public testing::TestWithParam<int> {};
+
+TEST_P(MbsAdmitPropertyTest, MatchesBruteForceAndSkipsSettledChecks) {
+  uint64_t state = static_cast<uint64_t>(GetParam()) * 2654435761u + 7;
+  auto next = [&]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % 1000;
+  };
+  size_t n = 3 + next() % 9;  // 3..11 ops
+  std::vector<double> costs(n);
+  for (double& c : costs) c = 0.25 + static_cast<double>(next() % 8) / 4.0;
+  double budget = 1.0 + static_cast<double>(next() % 12) / 2.0;
+  std::vector<std::vector<size_t>> conf(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (next() % 12 == 0) {
+        conf[i].push_back(j);
+        conf[j].push_back(i);
+      }
+    }
+  }
+  // Forbidden subsets of size 1..3; singletons make dead operators.
+  std::vector<IndexSet> forbidden(1 + next() % 5);
+  for (IndexSet& f : forbidden) {
+    size_t size = 1 + next() % 3;
+    while (f.size() < size) f.insert(next() % n);
+  }
+  auto admissible = [&](const IndexSet& s) {
+    for (const IndexSet& f : forbidden) {
+      if (std::includes(s.begin(), s.end(), f.begin(), f.end())) return false;
+    }
+    return true;
+  };
+
+  struct Rejection {
+    std::vector<size_t> current;
+    size_t next;
+  };
+  std::vector<Rejection> rejected;
+  std::set<IndexSet> asked;
+  size_t repeats = 0;
+  size_t settled = 0;  // asked although an earlier rejection settled it
+  AdmitFn admit = [&](const std::vector<size_t>& cur, size_t j) {
+    IndexSet s(cur.begin(), cur.end());
+    s.insert(j);
+    if (!asked.insert(s).second) ++repeats;
+    for (const Rejection& r : rejected) {
+      bool same_path = r.current.size() <= cur.size() &&
+                       std::equal(r.current.begin(), r.current.end(),
+                                  cur.begin());
+      if (same_path && s.count(r.next)) ++settled;
+    }
+    bool ok = admissible(s);
+    if (!ok) rejected.push_back({cur, j});
+    return ok;
+  };
+  std::vector<IndexSet> emitted;
+  MbsStats stats = EnumerateMaximalBoundedSets(
+      costs, conf, budget, 100000,
+      [&](const std::vector<size_t>& s) {
+        emitted.emplace_back(s.begin(), s.end());
+        return true;
+      },
+      admit);
+  EXPECT_EQ(repeats, 0u);
+  EXPECT_EQ(settled, 0u);
+  EXPECT_EQ(stats.guard_checks, asked.size());
+
+  // Brute force: the maximal elements of the admissible bounded family.
+  auto bounded = [&](const IndexSet& s) {
+    double c = 0.0;
+    for (size_t i : s) c += costs[i];
+    if (c > budget + 1e-9) return false;
+    for (size_t i : s) {
+      for (size_t j : conf[i]) {
+        if (s.count(j)) return false;
+      }
+    }
+    return admissible(s);
+  };
+  std::vector<IndexSet> maximal;
+  for (size_t mask = 0; mask < (1u << n); ++mask) {
+    IndexSet s;
+    for (size_t i = 0; i < n; ++i) {
+      if (mask & (1u << i)) s.insert(i);
+    }
+    if (!bounded(s)) continue;
+    bool is_max = true;
+    for (size_t j = 0; j < n && is_max; ++j) {
+      if (s.count(j)) continue;
+      IndexSet bigger = s;
+      bigger.insert(j);
+      if (bounded(bigger)) is_max = false;
+    }
+    if (is_max) maximal.push_back(s);
+  }
+  ExpectSameSets(emitted, maximal);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MbsAdmitPropertyTest, testing::Range(0, 40));
+
+// The batched variant reports, per set, the guard checks made up to its
+// emission; the last set's figure is at most the search's total.
+TEST(MbsTest, BatchedReportsGuardChecksAtEmission) {
+  std::vector<double> costs{1.0, 1.0, 1.0, 1.0, 1.0};
+  AdmitFn admit = [](const std::vector<size_t>& cur, size_t j) {
+    return !(j == 4 || (j == 1 && std::count(cur.begin(), cur.end(), 0u)));
+  };
+  std::vector<size_t> serial_checks;
+  MbsStats serial = EnumerateMaximalBoundedSetsBatched(
+      costs, NoConflicts(5), 3.0, 100000, 1,
+      [&](const std::vector<std::vector<size_t>>& batch,
+          const std::vector<size_t>& checks) {
+        EXPECT_EQ(batch.size(), checks.size());
+        serial_checks.insert(serial_checks.end(), checks.begin(),
+                             checks.end());
+        return true;
+      },
+      admit);
+  std::vector<size_t> batched_checks;
+  MbsStats batched = EnumerateMaximalBoundedSetsBatched(
+      costs, NoConflicts(5), 3.0, 100000, 3,
+      [&](const std::vector<std::vector<size_t>>& batch,
+          const std::vector<size_t>& checks) {
+        EXPECT_EQ(batch.size(), checks.size());
+        batched_checks.insert(batched_checks.end(), checks.begin(),
+                              checks.end());
+        return true;
+      },
+      admit);
+  EXPECT_EQ(serial_checks, batched_checks);
+  EXPECT_EQ(serial.guard_checks, batched.guard_checks);
+  ASSERT_FALSE(serial_checks.empty());
+  EXPECT_TRUE(std::is_sorted(serial_checks.begin(), serial_checks.end()));
+  EXPECT_LE(serial_checks.back(), serial.guard_checks);
+  EXPECT_GT(serial.guard_checks, 0u);
 }
 
 }  // namespace

@@ -1,18 +1,25 @@
-// Oracle suites: the production matcher and the dual-simulation fixpoint
-// are checked against brute-force reference implementations on randomly
-// generated small instances — the strongest correctness evidence short of
-// proofs, per seed-parameterized sweeps.
+// Oracle suites: the production matcher, the dual-simulation fixpoint and
+// the exact Why / Why-not algorithms are checked against brute-force
+// reference implementations on randomly generated small instances — the
+// strongest correctness evidence short of proofs, per seed-parameterized
+// sweeps.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <set>
 
 #include "common/rng.h"
 #include "matcher/candidates.h"
 #include "matcher/matcher.h"
 #include "matcher/simulation.h"
+#include "rewrite/cost_model.h"
+#include "rewrite/operators.h"
+#include "why/picky.h"
+#include "why/why_algorithms.h"
+#include "why/whynot_algorithms.h"
 
 namespace whyq {
 namespace {
@@ -174,6 +181,213 @@ TEST_P(SimulationOracleTest, MaximalClosedRelation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulationOracleTest, testing::Range(0, 40));
+
+// Optimality oracle for the exact algorithms. For each instance, every
+// conflict-free subset of the picky set within budget B is scored with
+// the brute-force matcher above (exact closeness and guard). Exhaustive
+// ExactWhy / ExactWhyNot must reach the best closeness (the guard-aware
+// MBS enumeration with its Lemma 1 shortcuts is exact). The minimize
+// post-pass must leave a rewrite no dearer than the cheapest maximal
+// admissible set at that closeness, from which no single operator can be
+// dropped without losing closeness. It does not always reach the cheapest
+// admissible set overall: that set may lie in no cheapest maximal set
+// (three of the sixty Why seeds below, e.g. seed 35: cost 1 against 0.5).
+struct Optimum {
+  double closeness = 0.0;     // the empty set always scores 0 within guard
+  double cheapest = 0.0;      // cheapest admissible set at that closeness
+  double cheapest_mbs = 0.0;  // cheapest maximal admissible set at it
+};
+
+constexpr double kOracleEps = 1e-9;
+
+// Brute-force answers of a rewrite under the matcher's documented
+// semantics for disconnected queries (RmE can split Q): only the output
+// node's connected component is matched.
+std::set<NodeId> BruteForceRewriteAnswers(const Graph& g, const Query& q) {
+  std::vector<QNodeId> comp = q.OutputComponent();
+  std::vector<QNodeId> index(q.node_count(), kInvalidQNode);
+  Query sub;
+  for (QNodeId u : comp) {
+    index[u] = sub.AddNode(q.node(u).label);
+    for (const Literal& l : q.node(u).literals) sub.AddLiteral(index[u], l);
+  }
+  for (const QueryEdge& e : q.edges()) {
+    if (index[e.src] != kInvalidQNode && index[e.dst] != kInvalidQNode) {
+      sub.AddEdge(index[e.src], index[e.dst], e.label);
+    }
+  }
+  sub.SetOutput(index[q.output()]);
+  return BruteForceAnswers(g, sub);
+}
+
+// score(rewritten, &closeness) returns whether the guard holds.
+using ScoreFn = std::function<bool(const Query&, double*)>;
+
+Optimum BruteForceOptimum(const Query& q, const std::vector<EditOp>& ops,
+                          const CostModel& cost, double budget,
+                          const ScoreFn& score) {
+  const size_t n = ops.size();
+  const size_t subsets = size_t{1} << n;
+  std::vector<uint8_t> admissible(subsets, 0);
+  std::vector<double> cl(subsets, 0.0), price(subsets, 0.0);
+  Optimum best;
+  for (size_t mask = 0; mask < subsets; ++mask) {
+    OperatorSet set;
+    for (size_t i = 0; i < n; ++i) {
+      if (mask & (size_t{1} << i)) set.push_back(ops[i]);
+    }
+    bool clash = false;
+    for (size_t i = 0; i < set.size() && !clash; ++i) {
+      for (size_t j = i + 1; j < set.size() && !clash; ++j) {
+        clash = OpsConflict(set[i], set[j]);
+      }
+    }
+    price[mask] = cost.Cost(set);
+    if (clash || price[mask] > budget + kOracleEps) continue;
+    admissible[mask] = score(ApplyOperators(q, set), &cl[mask]) ? 1 : 0;
+    if (admissible[mask]) best.closeness = std::max(best.closeness, cl[mask]);
+  }
+  best.cheapest = best.cheapest_mbs = std::numeric_limits<double>::infinity();
+  for (size_t mask = 0; mask < subsets; ++mask) {
+    if (!admissible[mask] || cl[mask] < best.closeness - kOracleEps) continue;
+    best.cheapest = std::min(best.cheapest, price[mask]);
+    bool maximal = true;
+    for (size_t j = 0; j < n && maximal; ++j) {
+      size_t bigger = mask | (size_t{1} << j);
+      maximal = bigger == mask || !admissible[bigger];
+    }
+    if (maximal) best.cheapest_mbs = std::min(best.cheapest_mbs, price[mask]);
+  }
+  return best;
+}
+
+AnswerConfig OracleConfig(uint64_t seed) {
+  AnswerConfig cfg;
+  cfg.budget = 2.0 + static_cast<double>(seed % 3);
+  cfg.guard_m = seed % 2;
+  cfg.max_picky_ops = 12;  // 4096 subsets at most
+  cfg.threads = 1;
+  return cfg;
+}
+
+// Checks an exhaustive exact answer against the brute-force optimum.
+void ExpectOptimal(const RewriteAnswer& a, const Optimum& best,
+                   const Query& q, const ScoreFn& score, const Graph& g) {
+  ASSERT_TRUE(a.exhaustive);
+  EXPECT_NEAR(a.eval.closeness, best.closeness, kOracleEps) << a.Explain(g);
+  EXPECT_TRUE(a.eval.guard_ok);
+  if (best.closeness <= 0.0) {
+    EXPECT_FALSE(a.found);
+    return;
+  }
+  EXPECT_TRUE(a.found);
+  EXPECT_LE(a.cost, best.cheapest_mbs + 1e-6) << a.Explain(g);
+  EXPECT_GE(a.cost, best.cheapest - 1e-6) << a.Explain(g);
+  for (size_t i = 0; i < a.ops.size() && a.ops.size() > 1; ++i) {
+    OperatorSet fewer = a.ops;
+    fewer.erase(fewer.begin() + static_cast<long>(i));
+    double cl = 0.0;
+    bool guard_ok = score(ApplyOperators(q, fewer), &cl);
+    EXPECT_FALSE(guard_ok && cl >= best.closeness - kOracleEps)
+        << "minimize kept a droppable operator: " << a.Explain(g);
+  }
+}
+
+class ExactOptimalityOracleTest : public testing::TestWithParam<int> {};
+
+TEST_P(ExactOptimalityOracleTest, ExactWhyReachesBruteForceOptimum) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  // Random small queries are often empty; draw until one has answers.
+  Instance inst;
+  std::set<NodeId> base;
+  for (uint64_t attempt = 0; attempt < 64 && base.size() < 2; ++attempt) {
+    inst = MakeInstance(seed * 389 + 11 + attempt * 7919);
+    base = BruteForceAnswers(inst.g, inst.q);
+  }
+  if (base.size() < 2) GTEST_SKIP() << "too few answers for a Why question";
+  std::vector<NodeId> answers(base.begin(), base.end());
+  WhyQuestion w;
+  w.unexpected.push_back(answers[seed % answers.size()]);
+  if (answers.size() > 3) {
+    w.unexpected.push_back(answers[(seed + 1) % answers.size()]);
+  }
+  std::sort(w.unexpected.begin(), w.unexpected.end());
+  w.unexpected.erase(std::unique(w.unexpected.begin(), w.unexpected.end()),
+                     w.unexpected.end());
+  AnswerConfig cfg = OracleConfig(seed);
+
+  std::vector<EditOp> picky =
+      GenPickyWhy(inst.g, inst.q, answers, w.unexpected, cfg);
+  CostModel cost(inst.q, inst.g, cfg.weighted_cost);
+  ScoreFn score = [&](const Query& rw, double* cl) {
+    std::set<NodeId> after = BruteForceRewriteAnswers(inst.g, rw);
+    size_t excluded = 0, lost = 0;
+    for (NodeId v : answers) {
+      bool unexpected = std::binary_search(w.unexpected.begin(),
+                                           w.unexpected.end(), v);
+      if (!after.count(v)) ++(unexpected ? excluded : lost);
+    }
+    *cl = static_cast<double>(excluded) /
+          static_cast<double>(w.unexpected.size());
+    return lost <= cfg.guard_m;
+  };
+  Optimum best = BruteForceOptimum(inst.q, picky, cost, cfg.budget, score);
+  RewriteAnswer exact = ExactWhy(inst.g, inst.q, answers, w, cfg);
+  ExpectOptimal(exact, best, inst.q, score, inst.g);
+}
+
+TEST_P(ExactOptimalityOracleTest, ExactWhyNotReachesBruteForceOptimum) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  // Missing entities: non-answers carrying the output node's label; draw
+  // until the instance has one.
+  Instance inst;
+  std::set<NodeId> base;
+  std::vector<NodeId> outside;
+  for (uint64_t attempt = 0; attempt < 64 && outside.empty(); ++attempt) {
+    inst = MakeInstance(seed * 577 + 13 + attempt * 7919);
+    base = BruteForceAnswers(inst.g, inst.q);
+    for (NodeId v :
+         inst.g.NodesWithLabel(inst.q.node(inst.q.output()).label)) {
+      if (!base.count(v)) outside.push_back(v);
+    }
+  }
+  if (outside.empty()) GTEST_SKIP() << "no missing entity to ask about";
+  std::vector<NodeId> answers(base.begin(), base.end());
+  WhyNotQuestion w;
+  w.missing.push_back(outside[seed % outside.size()]);
+  if (outside.size() > 2) {
+    w.missing.push_back(outside[(seed + 1) % outside.size()]);
+  }
+  std::sort(w.missing.begin(), w.missing.end());
+  w.missing.erase(std::unique(w.missing.begin(), w.missing.end()),
+                  w.missing.end());
+  AnswerConfig cfg = OracleConfig(seed);
+
+  std::vector<EditOp> picky = GenPickyWhyNot(inst.g, inst.q, w.missing, cfg);
+  CostModel cost(inst.q, inst.g, cfg.weighted_cost);
+  ScoreFn score = [&](const Query& rw, double* cl) {
+    std::set<NodeId> after = BruteForceRewriteAnswers(inst.g, rw);
+    size_t included = 0, extra = 0;
+    for (NodeId v : after) {
+      bool missing =
+          std::binary_search(w.missing.begin(), w.missing.end(), v);
+      if (missing) {
+        ++included;
+      } else if (!base.count(v)) {
+        ++extra;
+      }
+    }
+    *cl = static_cast<double>(included) /
+          static_cast<double>(w.missing.size());
+    return extra <= cfg.guard_m;
+  };
+  Optimum best = BruteForceOptimum(inst.q, picky, cost, cfg.budget, score);
+  RewriteAnswer exact = ExactWhyNot(inst.g, inst.q, answers, w, cfg);
+  ExpectOptimal(exact, best, inst.q, score, inst.g);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExactOptimalityOracleTest,
+                         testing::Range(0, 60));
 
 }  // namespace
 }  // namespace whyq

@@ -658,6 +658,56 @@ TEST(PinnedAnswersTest, MultiOutputOnFigure1) {
   ExpectPins(MultiOutputPins(), ExpectedMultiOutputPins());
 }
 
+// Guard checks (admit calls that ran the matcher) of the exact searches,
+// pinned as literals: the count is deterministic, and a parallel run
+// reports the serial search's figure (the checks it spends enumerating
+// past an early stop are not counted), so threads=1 and threads=4 agree.
+// A change that makes the enumeration ask the guard more often fails here.
+std::vector<std::pair<std::string, size_t>> GuardCheckCounts(size_t threads) {
+  std::vector<std::pair<std::string, size_t>> out;
+  Figure1 f = MakeFigure1();
+  std::vector<NodeId> fig1_answers = Matcher(f.graph).MatchOutput(f.query);
+  AnswerConfig cfg = BaseConfig(threads);
+  cfg.guard_m = 0;
+  out.emplace_back("fig1/ExactWhy",
+                   ExactWhy(f.graph, f.query, fig1_answers,
+                            WhyQuestion{{f.a5, f.s5}}, cfg)
+                       .guard_checks);
+  WhyNotQuestion whynot;
+  whynot.missing = {f.s8, f.s9};
+  cfg.budget = 5.0;
+  cfg.guard_m = 2;
+  out.emplace_back(
+      "fig1/ExactWhyNot",
+      ExactWhyNot(f.graph, f.query, fig1_answers, whynot, cfg).guard_checks);
+
+  const Graph& g = SweepGraph();
+  const Workload w = SweepWorkload(g);
+  const Workload::Item& item = w.items.at(0);
+  std::vector<NodeId> answers = Matcher(g).MatchOutput(item.gq.query);
+  cfg = BaseConfig(threads);
+  out.emplace_back("sweep/0/ExactWhy",
+                   ExactWhy(g, item.gq.query, answers,
+                            WhyQuestion{{answers.at(0)}}, cfg)
+                       .guard_checks);
+  out.emplace_back(
+      "sweep/0/ExactWhyNot",
+      ExactWhyNot(g, item.gq.query, answers, item.whynot, cfg).guard_checks);
+  return out;
+}
+
+TEST(GuardChecksTest, PinnedForExactSearchesAtOneAndFourThreads) {
+  const std::vector<std::pair<std::string, size_t>> expected = {
+      {"fig1/ExactWhy", 7},
+      {"fig1/ExactWhyNot", 16},
+      {"sweep/0/ExactWhy", 107},
+      {"sweep/0/ExactWhyNot", 7},
+  };
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    EXPECT_EQ(GuardCheckCounts(threads), expected) << "threads=" << threads;
+  }
+}
+
 TEST(ParallelDeterminismTest, WhyAlgorithmsMatchSerial) {
   const Graph& g = SweepGraph();
   Workload w = SweepWorkload(g);

@@ -31,6 +31,7 @@
 #include "service/prepared.h"
 #include "service/request.h"
 #include "service/service.h"
+#include "temp_path.h"
 #include "why/question.h"
 #include "why/why_algorithms.h"
 #include "why/whynot_algorithms.h"
@@ -82,7 +83,7 @@ UpdateBatch IntersectingBatch() {
 }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "whyq_plan_" + name;
+  return PerTestTempPath("whyq_plan_", name);
 }
 
 // A fresh store directory: created if needed, cleared of any *.plan files

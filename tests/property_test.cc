@@ -143,6 +143,32 @@ TEST_P(LemmaOneTest, GuardMonotoneUnderRefinement) {
   }
 }
 
+// The Why-not guard counts matches outside Q(u_o,G) ∪ V_C; relaxation only
+// grows the answer, so the guard never falls as relaxations are added.
+// The exact Why-not search's dead-singleton and path shortcuts rely on it.
+TEST_P(LemmaOneTest, GuardMonotoneUnderRelaxation) {
+  Instance inst = MakeInstance(GetParam());
+  if (!inst.ok) GTEST_SKIP();
+  const Graph& g = SharedGraph();
+  AnswerConfig cfg;
+  std::vector<EditOp> picky =
+      GenPickyWhyNot(g, inst.gq.query, inst.whynot.missing, cfg);
+  if (picky.size() < 2) GTEST_SKIP();
+  WhyNotEvaluator eval(g, inst.gq.answers, inst.whynot, /*guard_m=*/1000);
+  OperatorSet chain;
+  size_t prev_guard = 0;
+  for (const EditOp& op : picky) {
+    bool clash = false;
+    for (const EditOp& sel : chain) clash |= OpsConflict(sel, op);
+    if (clash) continue;
+    chain.push_back(op);
+    EvalResult r = eval.Evaluate(ApplyOperators(inst.gq.query, chain));
+    EXPECT_GE(r.guard, prev_guard);
+    prev_guard = r.guard;
+    if (chain.size() == 4) break;
+  }
+}
+
 TEST_P(LemmaOneTest, PathTestSoundForExclusion) {
   Instance inst = MakeInstance(GetParam());
   if (!inst.ok) GTEST_SKIP();

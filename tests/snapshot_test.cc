@@ -31,12 +31,13 @@
 #include "matcher/match_context.h"
 #include "matcher/match_engine.h"
 #include "matcher/matcher.h"
+#include "temp_path.h"
 
 namespace whyq {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "whyq_" + name;
+  return PerTestTempPath("whyq_", name);
 }
 
 std::string WriteSnapshotOrDie(const Graph& g, const std::string& name) {

@@ -26,6 +26,11 @@
 # can land on a plan the same run wrote moments earlier), and the
 # restarted run (--cache=0: every request probes) must serve every
 # request from the store.
+# A fifth phase reruns the batch with --algo=exact: the work block's
+# guard_checks counts the guard admissibility checks that ran the
+# matcher. Only the exact searches make them, and every exact search
+# emits at least one set, so guard_checks > 0 implies mbs_enumerated > 0;
+# the greedy batch of phase 1 must report none.
 # Usage: check_stats_json.sh PATH_TO_WHYQ_CLI [WORKDIR]
 set -u
 
@@ -101,8 +106,11 @@ check(hist_total == c["completed"],
       f"histogram counts {hist_total} != completed {c['completed']}")
 
 w = d["work"]
-for key in ("ctx_hits", "ctx_misses", "ctx_delta_builds", "ctx_pruned"):
+for key in ("ctx_hits", "ctx_misses", "ctx_delta_builds", "ctx_pruned",
+            "guard_checks"):
     check(key in w, f"work totals missing {key}")
+check(w["guard_checks"] == 0,
+      f"greedy batch made guard checks: {w['guard_checks']}")
 # Every cache-missing iso request builds at least one candidate set (the
 # prepare stage seeds the output node's set as a miss).
 check(w["ctx_misses"] >= 1, f"expected ctx_misses >= 1, got {w['ctx_misses']}")
@@ -297,6 +305,34 @@ check(r2["plan_store_invalid"] == 0,
 print("check_stats_json: OK (plan-store probes reconcile: "
       f"cold misses={r1['plan_store_misses']} writes="
       f"{r1['plan_store_writes']}; warm hits={r2['plan_store_hits']})")
+EOF
+[ $? -eq 0 ] || exit 1
+
+# --- phase 5: guard checks of the exact searches --------------------------
+"$cli" serve-batch sj_f1.graph sj_f1.questions --workers=2 --algo=exact \
+  --slow-ms=0.001 --stats-json=sj_f1.exact.json > /dev/null ||
+  { echo "check_stats_json: serve-batch (--algo=exact) failed" >&2; exit 1; }
+
+python3 - <<'EOF'
+import json, sys
+
+def check(cond, msg):
+    if not cond:
+        print("check_stats_json: FAIL:", msg, file=sys.stderr)
+        sys.exit(1)
+
+d = json.load(open("sj_f1.exact.json"))
+w = d["work"]
+check(w["guard_checks"] > 0, f"exact batch made no guard checks: {w}")
+check(w["mbs_enumerated"] > 0,
+      f"guard checks {w['guard_checks']} without an enumerated set")
+slow = d["slow_queries"]["entries"]
+check(all("guard_checks" in e["work"] for e in slow),
+      "slow-query work blocks miss guard_checks")
+check(sum(e["work"]["guard_checks"] for e in slow) <= w["guard_checks"],
+      "slow-query guard checks exceed the work total")
+print("check_stats_json: OK (exact batch: guard_checks="
+      f"{w['guard_checks']} over mbs_enumerated={w['mbs_enumerated']})")
 EOF
 [ $? -eq 0 ] || exit 1
 exit 0

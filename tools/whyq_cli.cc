@@ -568,6 +568,7 @@ int CmdWhy(const Options& o, bool why_not) {
   if (o.algo == "exact") {
     trace.mbs_enumerated = a.sets_enumerated;
     trace.mbs_verified = a.sets_verified;
+    trace.guard_checks = a.guard_checks;
   } else {
     trace.greedy_rounds = a.sets_verified;
   }
