@@ -124,6 +124,7 @@ TEST(MetricsTest, RequestTraceTotalsAndRendering) {
   t.matcher_candidates = 7;
   t.mbs_enumerated = 5;
   t.mbs_verified = 3;
+  t.guard_checks = 11;
   t.greedy_rounds = 0;
   EXPECT_DOUBLE_EQ(t.StagesTotalMs(), 10.0);
   std::string s = t.ToString();
@@ -131,6 +132,7 @@ TEST(MetricsTest, RequestTraceTotalsAndRendering) {
   EXPECT_NE(s.find("work:"), std::string::npos);
   EXPECT_NE(s.find("mbs-enumerated=5"), std::string::npos);
   EXPECT_NE(s.find("mbs-verified=3"), std::string::npos);
+  EXPECT_NE(s.find("guard-checks=11"), std::string::npos);
   // Sub-stages render only when the prepare step actually built something.
   EXPECT_NE(s.find("path-index"), std::string::npos);
   RequestTrace hit;
