@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -25,10 +25,12 @@ std::vector<IndexSet> Enumerate(const std::vector<double>& costs,
   return out;
 }
 
-// Brute-force reference: all subsets, keep bounded conflict-free maximal.
-std::vector<IndexSet> BruteForce(const std::vector<double>& costs,
-                                 const std::vector<std::vector<size_t>>& conf,
-                                 double budget) {
+// Brute-force reference: all subsets, keep the maximal ones among the
+// bounded, conflict-free and (when given) admissible sets.
+std::vector<IndexSet> BruteForce(
+    const std::vector<double>& costs,
+    const std::vector<std::vector<size_t>>& conf, double budget,
+    const std::function<bool(const IndexSet&)>& admissible = nullptr) {
   size_t n = costs.size();
   auto ok = [&](const IndexSet& s) {
     double c = 0.0;
@@ -39,7 +41,7 @@ std::vector<IndexSet> BruteForce(const std::vector<double>& costs,
         if (s.count(j)) return false;
       }
     }
-    return true;
+    return !admissible || admissible(s);
   };
   std::vector<IndexSet> bounded;
   for (size_t mask = 0; mask < (1u << n); ++mask) {
@@ -271,35 +273,7 @@ TEST_P(MbsAdmitPropertyTest, MatchesBruteForceAndSkipsSettledChecks) {
   EXPECT_EQ(settled, 0u);
   EXPECT_EQ(stats.guard_checks, asked.size());
 
-  // Brute force: the maximal elements of the admissible bounded family.
-  auto bounded = [&](const IndexSet& s) {
-    double c = 0.0;
-    for (size_t i : s) c += costs[i];
-    if (c > budget + 1e-9) return false;
-    for (size_t i : s) {
-      for (size_t j : conf[i]) {
-        if (s.count(j)) return false;
-      }
-    }
-    return admissible(s);
-  };
-  std::vector<IndexSet> maximal;
-  for (size_t mask = 0; mask < (1u << n); ++mask) {
-    IndexSet s;
-    for (size_t i = 0; i < n; ++i) {
-      if (mask & (1u << i)) s.insert(i);
-    }
-    if (!bounded(s)) continue;
-    bool is_max = true;
-    for (size_t j = 0; j < n && is_max; ++j) {
-      if (s.count(j)) continue;
-      IndexSet bigger = s;
-      bigger.insert(j);
-      if (bounded(bigger)) is_max = false;
-    }
-    if (is_max) maximal.push_back(s);
-  }
-  ExpectSameSets(emitted, maximal);
+  ExpectSameSets(emitted, BruteForce(costs, conf, budget, admissible));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MbsAdmitPropertyTest, testing::Range(0, 40));
