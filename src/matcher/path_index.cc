@@ -93,56 +93,78 @@ PathIndex::PathIndex(const Query& q, size_t max_paths) {
   // to the candidate test on the output node.
 }
 
-bool PathIndex::WalkMatches(const Graph& g, const Query& rewritten,
-                            const std::vector<Step>& path, size_t pos,
-                            NodeId at, MatchContext* ctx) const {
-  if (pos == path.size()) return true;
-  const Step& s = path[pos];
-  if (s.to >= rewritten.node_count() || !StepEdgePresent(rewritten, s)) {
-    // The rewrite no longer constrains this tail through this path.
-    return true;
+PathIndex::Probe PathIndex::Bind(const Graph& g, const Query& rewritten,
+                                 MatchContext* ctx) const {
+  return Probe(*this, g, rewritten, ctx);
+}
+
+PathIndex::Probe::Probe(const PathIndex& index, const Graph& g,
+                        const Query& rewritten, MatchContext* ctx)
+    : index_(&index), g_(&g), rewritten_(&rewritten), ctx_(ctx) {
+  live_.reserve(index.paths_.size());
+  for (const std::vector<Step>& path : index.paths_) {
+    size_t live = 0;
+    while (live < path.size() && path[live].to < rewritten.node_count() &&
+           StepEdgePresent(rewritten, path[live])) {
+      ++live;
+    }
+    live_.push_back(live);
   }
-  const QueryNode& target = rewritten.node(s.to);
-  // One candidate-set resolution per step, then O(1) probes per neighbor.
-  const MatchContext::CandidateSet* cand =
-      ctx != nullptr ? &ctx->Lookup(target) : nullptr;
+  if (ctx != nullptr) cand_.assign(rewritten.node_count(), nullptr);
+}
+
+const MatchContext::CandidateSet* PathIndex::Probe::Resolve(QNodeId u) {
+  if (ctx_ == nullptr) return nullptr;
+  if (cand_[u] == nullptr) cand_[u] = &ctx_->Lookup(rewritten_->node(u));
+  return cand_[u];
+}
+
+bool PathIndex::Probe::OutputAdmits(NodeId v) {
+  const QNodeId out = rewritten_->output();
+  const MatchContext::CandidateSet* cand = Resolve(out);
+  return cand != nullptr ? cand->Test(v)
+                         : IsCandidate(*g_, v, rewritten_->node(out));
+}
+
+bool PathIndex::Probe::Walk(size_t path, size_t pos, NodeId at) {
+  // Past the live prefix the rewrite no longer constrains this tail
+  // through this path.
+  if (pos == live_[path]) return true;
+  const Step& s = index_->paths_[path][pos];
+  const QueryNode& target = rewritten_->node(s.to);
+  // Resolved on reaching the step, even when `at` has no neighbor to test,
+  // so what the context memoizes depends only on which steps are reached;
+  // then O(1) probes per neighbor.
+  const MatchContext::CandidateSet* cand = Resolve(s.to);
   // The label-partitioned slice visits exactly the step's edge label. The
   // walk's outcome is existential, so the (per-label ascending) visit order
   // cannot change the result.
-  NodeSpan span = s.forward ? g.LabeledOutNeighbors(at, s.edge_label)
-                            : g.LabeledInNeighbors(at, s.edge_label);
+  NodeSpan span = s.forward ? g_->LabeledOutNeighbors(at, s.edge_label)
+                            : g_->LabeledInNeighbors(at, s.edge_label);
   for (NodeId other : span) {
     if (cand != nullptr ? !cand->Test(other)
-                        : !IsCandidate(g, other, target)) {
+                        : !IsCandidate(*g_, other, target)) {
       continue;
     }
-    if (WalkMatches(g, rewritten, path, pos + 1, other, ctx)) return true;
+    if (Walk(path, pos + 1, other)) return true;
   }
   return false;
 }
 
-bool PathIndex::Passes(const Graph& g, const Query& rewritten, NodeId v,
-                       MatchContext* ctx) const {
-  const QueryNode& output = rewritten.node(rewritten.output());
-  bool out_ok = ctx != nullptr ? ctx->Lookup(output).Test(v)
-                               : IsCandidate(g, v, output);
-  if (!out_ok) return false;
-  for (const std::vector<Step>& path : paths_) {
-    if (!WalkMatches(g, rewritten, path, 0, v, ctx)) return false;
+bool PathIndex::Probe::Passes(NodeId v) {
+  if (!OutputAdmits(v)) return false;
+  for (size_t p = 0; p < live_.size(); ++p) {
+    if (!Walk(p, 0, v)) return false;
   }
   return true;
 }
 
-double PathIndex::PassFraction(const Graph& g, const Query& rewritten,
-                               NodeId v, MatchContext* ctx) const {
-  size_t total = 1 + paths_.size();
+double PathIndex::Probe::PassFraction(NodeId v) {
+  size_t total = 1 + live_.size();
   size_t passed = 0;
-  const QueryNode& output = rewritten.node(rewritten.output());
-  bool out_ok = ctx != nullptr ? ctx->Lookup(output).Test(v)
-                               : IsCandidate(g, v, output);
-  if (out_ok) ++passed;
-  for (const std::vector<Step>& path : paths_) {
-    if (WalkMatches(g, rewritten, path, 0, v, ctx)) ++passed;
+  if (OutputAdmits(v)) ++passed;
+  for (size_t p = 0; p < live_.size(); ++p) {
+    if (Walk(p, 0, v)) ++passed;
   }
   return static_cast<double>(passed) / static_cast<double>(total);
 }

@@ -28,13 +28,23 @@ namespace whyq {
 /// terminate their path early — the tail is no longer connected through
 /// this path, so it constrains nothing.
 ///
-/// Thread-safety: immutable after construction, shared across workers.
-/// Passes()/PassFraction() are const, allocate only locals, and keep no
-/// per-call caches, so one index (e.g. from the service's prepared-question
-/// cache) may be probed by many workers concurrently. The optional
-/// MatchContext argument is the exception: a context is single-threaded
-/// request state, so concurrent probes must each pass their own (their
-/// executor slot's) context, or nullptr.
+/// Probing: a rewrite is probed through a Probe bound to it (Bind), never
+/// per call. Callers score one rewrite over many data nodes (V_N, V_C, a
+/// guard scan), and everything about the rewrite that the walk needs is the
+/// same for every probed node: which steps are still live, and each query
+/// node's candidate set. The Probe computes step liveness once at Bind and
+/// resolves a query node's MatchContext::CandidateSet the first time a walk
+/// reaches it, then keeps the pointer. Resolution is lazy on purpose: the
+/// context then memoizes exactly the signatures a per-node lookup would
+/// have, so its misses, delta builds and arena footprint do not depend on
+/// how probes are grouped; only its hit count drops, to one per (rewrite,
+/// reached query node).
+///
+/// Thread-safety: the index is immutable after construction and shared
+/// across workers (e.g. from the service's prepared-question cache); Bind
+/// is const. A Probe is single-threaded mutable state, like the context it
+/// borrows: each executor slot binds its own probe over its own context
+/// (or none).
 class PathIndex {
  public:
   struct Step {
@@ -55,21 +65,14 @@ class PathIndex {
   /// query-node ids against the query the index will be probed with.
   static PathIndex FromPaths(std::vector<std::vector<Step>> paths);
 
-  /// Path test of v against rewrite `rewritten` (see class comment). When
-  /// `ctx` is given, per-step node-candidacy tests probe the context's
-  /// memoized bitmaps (O(1) after the first build) instead of re-evaluating
-  /// literals; the boolean outcome is identical either way.
-  bool Passes(const Graph& g, const Query& rewritten, NodeId v,
-              MatchContext* ctx = nullptr) const;
+  class Probe;
 
-  /// Partial credit: the fraction of checks v passes under `rewritten` —
-  /// the output-node candidate test plus each indexed path, all weighted
-  /// equally. 1.0 iff Passes(). Greedy selection uses this to rank
-  /// operators that make progress toward a match (or a non-match) even when
-  /// no single operator flips the full test (zero-marginal-gain
-  /// bootstrapping; see DESIGN.md).
-  double PassFraction(const Graph& g, const Query& rewritten, NodeId v,
-                      MatchContext* ctx = nullptr) const;
+  /// Binds a probe of rewrite `rewritten` (see class comment). When `ctx`
+  /// is given, node-candidacy tests probe the context's memoized bitmaps
+  /// instead of re-evaluating literals; the outcomes are identical either
+  /// way. `g`, `rewritten`, `ctx` and the index must outlive the probe.
+  Probe Bind(const Graph& g, const Query& rewritten,
+             MatchContext* ctx = nullptr) const;
 
   size_t path_count() const { return paths_.size(); }
   const std::vector<std::vector<Step>>& paths() const { return paths_; }
@@ -80,11 +83,49 @@ class PathIndex {
  private:
   PathIndex() = default;  // FromPaths
 
-  bool WalkMatches(const Graph& g, const Query& rewritten,
-                   const std::vector<Step>& path, size_t pos, NodeId at,
-                   MatchContext* ctx) const;
-
   std::vector<std::vector<Step>> paths_;
+};
+
+/// The path tests of one rewrite, bound by PathIndex::Bind.
+class PathIndex::Probe {
+ public:
+  /// Path test of v (see the PathIndex class comment).
+  bool Passes(NodeId v);
+
+  /// Partial credit: the fraction of checks v passes — the output-node
+  /// candidate test plus each indexed path, all weighted equally. 1.0 iff
+  /// Passes(v). Greedy selection uses this to rank operators that make
+  /// progress toward a match (or a non-match) even when no single operator
+  /// flips the full test (zero-marginal-gain bootstrapping; see DESIGN.md).
+  double PassFraction(NodeId v);
+
+  const Graph& graph() const { return *g_; }
+  const Query& rewritten() const { return *rewritten_; }
+
+ private:
+  friend class PathIndex;
+  Probe(const PathIndex& index, const Graph& g, const Query& rewritten,
+        MatchContext* ctx);
+
+  // The memoized candidate set of query node u, resolved on first use;
+  // nullptr without a context.
+  const MatchContext::CandidateSet* Resolve(QNodeId u);
+  // The output-node candidate test of v.
+  bool OutputAdmits(NodeId v);
+  // True iff some walk from `at` realizes steps [pos, live_[path]) of path
+  // `path`.
+  bool Walk(size_t path, size_t pos, NodeId at);
+
+  const PathIndex* index_;
+  const Graph* g_;
+  const Query* rewritten_;
+  MatchContext* ctx_;
+  // Per path: the length of its live prefix — the steps before the first
+  // one whose target node or query edge the rewrite lacks.
+  std::vector<size_t> live_;
+  // Per query node of the rewrite: its resolved candidate set, or nullptr
+  // until a walk first reaches it (always nullptr without a context).
+  std::vector<const MatchContext::CandidateSet*> cand_;
 };
 
 }  // namespace whyq

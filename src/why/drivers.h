@@ -34,7 +34,8 @@
 //   Effect(ev, single, exact)            a candidate's effect set: the
 //                                        answers it excludes (Why) or the
 //                                        missing entities it admits
-//   Estimate(rewritten, effects, ctx)    EstimateWhy / EstimateWhyNot
+//   Estimate(probe, effects)             EstimateWhy / EstimateWhyNot over
+//                                        a path-index probe of the rewrite
 //   targets(), static SoftCredit(pass)   the soft score: 1 - PassFraction
 //                                        over V_N, or PassFraction over V_C
 //   BestSingle(cands, &cl)               Why's single-operator answer O_1
@@ -192,37 +193,41 @@ RewriteAnswer RunGreedy(const Graph& g, const Query& q,
   std::vector<uint8_t> in_pool(cands.size(), 1);
   size_t pool = cands.size();
 
-  auto estimate = [&](const NodeSet& effects, const Query& rw,
+  // Every scored rewrite is probed through one PathIndex::Probe, bound on
+  // the scoring slot over that slot's context and shared by the estimate
+  // and the soft score of the rewrite.
+  auto bind = [&](const Query& rw, size_t slot) {
+    return pidx.Bind(g, rw, eval_at(slot).context());
+  };
+  auto estimate = [&](const NodeSet& effects, PathIndex::Probe& probe,
                       size_t slot) -> CloseEstimate {
     if (exact) {
-      EvalResult r = eval_at(slot).Evaluate(rw);
+      EvalResult r = eval_at(slot).Evaluate(probe.rewritten());
       CloseEstimate e;
       e.closeness = r.closeness;
       e.guard = r.guard;
       e.guard_ok = r.guard_ok;
       return e;
     }
-    return dir.Estimate(rw, effects, eval_at(slot).context());
+    return dir.Estimate(probe, effects);
   };
 
   // Soft (partial-credit) progress: a single operator often moves a target
   // entity toward the goal without reaching it (an entity needs several
   // constraints changed at once); the soft score breaks zero-gain ties so
-  // such combinations can bootstrap (see DESIGN.md). Runs on the scoring
-  // slots too, so the caller passes its slot's context.
-  auto soft_score = [&](const NodeSet& effects, const Query& rw,
-                        MatchContext* ctx) {
+  // such combinations can bootstrap (see DESIGN.md).
+  auto soft_score = [&](const NodeSet& effects, PathIndex::Probe& probe) {
     const std::vector<NodeId>& targets = dir.targets();
     double s = 0.0;
     for (NodeId v : targets) {
-      s += effects.Contains(v)
-               ? 1.0
-               : Dir::SoftCredit(pidx.PassFraction(g, rw, v, ctx));
+      s += effects.Contains(v) ? 1.0
+                               : Dir::SoftCredit(probe.PassFraction(v));
     }
     return targets.empty() ? 0.0
                            : s / static_cast<double>(targets.size());
   };
-  double current_soft = soft_score(effect_union, q, eval.context());
+  PathIndex::Probe q_probe = bind(q, 0);
+  double current_soft = soft_score(effect_union, q_probe);
 
   // The rewrite of the selected operators plus candidate `extra`.
   auto with = [&](size_t extra) {
@@ -259,12 +264,12 @@ RewriteAnswer RunGreedy(const Graph& g, const Query& q,
           NodeSet effects = effect_union;
           for (NodeId v : cands[i].effect) effects.Insert(v);
           Query rw = with(i);
-          CloseEstimate est = estimate(effects, rw, slot);
+          PathIndex::Probe probe = bind(rw, slot);
+          CloseEstimate est = estimate(effects, probe, slot);
           Score& s = scores[k];
           s.gain = est.closeness - current_cl;
           // Hard gains dominate; soft gains break zero-gain ties.
-          s.soft_gain =
-              soft_score(effects, rw, eval_at(slot).context()) - current_soft;
+          s.soft_gain = soft_score(effects, probe) - current_soft;
           s.ratio = (s.gain + 1e-3 * s.soft_gain) / cands[i].cost;
         });
     long best = -1;
@@ -291,7 +296,8 @@ RewriteAnswer RunGreedy(const Graph& g, const Query& q,
     NodeSet effects = effect_union;
     for (NodeId v : cands[b].effect) effects.Insert(v);
     Query rw = with(b);
-    CloseEstimate est = estimate(effects, rw, 0);
+    PathIndex::Probe probe = bind(rw, 0);
+    CloseEstimate est = estimate(effects, probe, 0);
     if (!est.guard_ok) continue;
     for (size_t j : conflicts[b]) {
       if (in_pool[j]) {
@@ -303,7 +309,7 @@ RewriteAnswer RunGreedy(const Graph& g, const Query& q,
     effect_union = std::move(effects);
     spent += cands[b].cost;
     current_cl = est.closeness;
-    current_soft = soft_score(effect_union, rw, eval.context());
+    current_soft = soft_score(effect_union, probe);
   }
 
   // Drop bootstrap operators that never paid off (estimated closeness
@@ -322,7 +328,8 @@ RewriteAnswer RunGreedy(const Graph& g, const Query& q,
         for (NodeId v : cands[j].effect) effects.Insert(v);
       }
       Query rw = ApplyOperators(q, trial_ops);
-      CloseEstimate est = estimate(effects, rw, 0);
+      PathIndex::Probe probe = bind(rw, 0);
+      CloseEstimate est = estimate(effects, probe, 0);
       if (est.guard_ok && est.closeness >= current_cl - kEps) {
         selected = std::move(trial);
         current_cl = est.closeness;
@@ -393,7 +400,7 @@ RewriteAnswer RunExact(const Graph& g, const Query& q,
   double best_cost = search.best_cost;
   OperatorSet best_ops = std::move(search.best_ops);
   EvalResult best_eval = search.best_eval;
-  out.sets_enumerated = search.stats.emitted;
+  out.sets_enumerated = search.sets_enumerated;
   out.sets_verified = search.verified;
   out.guard_checks = search.guard_checks;
   out.exhaustive = !search.stats.truncated && !search.timed_out;

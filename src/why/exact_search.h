@@ -51,8 +51,10 @@ struct ExactSearchOutcome {
   size_t verified = 0;
   bool timed_out = false;
   MbsStats stats;
-  // Guard checks the serial search made: stats.guard_checks without the
-  // checks a parallel run spends enumerating past an early stop.
+  // Sets and guard checks the serial search made: stats.emitted and
+  // stats.guard_checks without the lookahead a parallel run spends
+  // enumerating past an early stop.
+  size_t sets_enumerated = 0;
   size_t guard_checks = 0;
   // Candidate-memo counters summed over the slot evaluators (they are
   // destroyed inside the search; the caller adds its own evaluator's).
@@ -152,6 +154,7 @@ ExactSearchOutcome ExactMbsSearch(
             // Deadline or early termination: the serial search would stop
             // right after emitting this set.
             stopped_early = true;
+            out.sets_enumerated = out.verified;
             out.guard_checks = guard_checks[i];
             return false;
           }
@@ -166,8 +169,12 @@ ExactSearchOutcome ExactMbsSearch(
         }
         return false;
       });
-  // Exhaustion (or a cap) after the last emission: every check counts.
-  if (!stopped_early) out.guard_checks = out.stats.guard_checks;
+  // Exhaustion (or a cap) after the last emission: every set and check
+  // counts.
+  if (!stopped_early) {
+    out.sets_enumerated = out.stats.emitted;
+    out.guard_checks = out.stats.guard_checks;
+  }
   for (const auto& se : slot_evals) out.ctx.Add(se->ContextStats());
   return out;
 }

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "matcher/match_engine.h"
-#include "matcher/matcher.h"
 #include "matcher/path_index.h"
 #include "rewrite/cost_model.h"
 #include "why/drivers.h"
@@ -144,14 +143,15 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
                               const AnswerConfig& cfg) {
   WhyEmptyResult out;
   out.rewritten = q;
-  Matcher matcher(g);
-  matcher.set_cancel_token(cfg.cancel);
+  // Emptiness is judged under the question's semantics.
+  std::unique_ptr<MatchEngine> engine = MakeMatchEngine(g, cfg.semantics);
+  engine->SetCancelToken(cfg.cancel);
   auto harvest = [&](const Query& rewritten) {
-    std::vector<NodeId> all = matcher.MatchOutput(rewritten);
+    std::vector<NodeId> all = engine->MatchOutput(rewritten);
     if (all.size() > 10) all.resize(10);
     out.sample_answers = std::move(all);
   };
-  if (matcher.HasAnyMatch(q)) {
+  if (engine->HasAnyMatch(q)) {
     out.found = true;
     harvest(q);
     return out;
@@ -180,8 +180,9 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
   auto score = [&](const Query& rewritten) {
     double best = 0.0;
     double sum = 0.0;
+    PathIndex::Probe probe = pidx.Bind(g, rewritten);
     for (NodeId v : proxy) {
-      double fr = pidx.PassFraction(g, rewritten, v);
+      double fr = probe.PassFraction(v);
       best = std::max(best, fr);
       sum += fr;
     }
@@ -221,7 +222,7 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
     spent += costs[i];
     Query rewritten = ApplyOperators(q, selected);
     current_score = score(rewritten);
-    if (matcher.HasAnyMatch(rewritten)) {
+    if (engine->HasAnyMatch(rewritten)) {
       // Drop unnecessary operators, cheapest kept.
       bool changed = true;
       while (changed && selected.size() > 1) {
@@ -230,7 +231,7 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
           OperatorSet trial = selected;
           trial.erase(trial.begin() + static_cast<long>(j));
           Query tq = ApplyOperators(q, trial);
-          if (matcher.HasAnyMatch(tq)) {
+          if (engine->HasAnyMatch(tq)) {
             selected = std::move(trial);
             changed = true;
             break;
@@ -282,8 +283,9 @@ WhySoManyResult AnswerWhySoMany(const Graph& g, const Query& q,
   // Greedy: maximize estimated removals per unit cost (path screening).
   auto survivors = [&](const Query& rewritten) {
     size_t kept = 0;
+    PathIndex::Probe probe = pidx.Bind(g, rewritten);
     for (NodeId v : answers) {
-      if (pidx.Passes(g, rewritten, v)) ++kept;
+      if (probe.Passes(v)) ++kept;
     }
     return kept;
   };
@@ -356,7 +358,7 @@ RewriteAnswer ExactWhyMultiOutput(
             return std::make_unique<PooledWhyEvaluator>(
                 g, q, answers_per_output, unexpected_per_output, cfg);
           });
-  out.sets_enumerated = search.stats.emitted;
+  out.sets_enumerated = search.sets_enumerated;
   out.sets_verified = search.verified;
   out.guard_checks = search.guard_checks;
   out.exhaustive = !search.stats.truncated && !search.timed_out &&

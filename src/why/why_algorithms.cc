@@ -34,10 +34,10 @@ struct WhyDirection {
     return ev.AffectedAnswers(single);
   }
 
-  CloseEstimate Estimate(const Query& rewritten, const NodeSet& excluded,
-                         MatchContext* ctx) const {
-    return EstimateWhy(g, rewritten, pidx, excluded, eval.unexpected(),
-                       eval.desired(), cfg.guard_m, ctx);
+  CloseEstimate Estimate(PathIndex::Probe& probe,
+                         const NodeSet& excluded) const {
+    return EstimateWhy(probe, excluded, eval.unexpected(), eval.desired(),
+                       cfg.guard_m);
   }
 
   // An unexpected entity is credited by how far it is from passing.

@@ -30,17 +30,17 @@ struct WhyNotDirection {
                              bool exact) const {
     if (exact) return ev.NewMatches(single);
     std::vector<NodeId> covered;
+    PathIndex::Probe probe = pidx.Bind(g, single, ev.context());
     for (NodeId v : ev.missing()) {
-      if (pidx.Passes(g, single, v, ev.context())) covered.push_back(v);
+      if (probe.Passes(v)) covered.push_back(v);
     }
     return covered;
   }
 
-  CloseEstimate Estimate(const Query& rewritten, const NodeSet& covered,
-                         MatchContext* ctx) const {
-    return EstimateWhyNot(g, rewritten, pidx, covered, eval.missing(),
-                          eval.protected_set(), cfg.guard_m,
-                          cfg.est_guard_scan, ctx);
+  CloseEstimate Estimate(PathIndex::Probe& probe,
+                         const NodeSet& covered) const {
+    return EstimateWhyNot(probe, covered, eval.missing(), eval.protected_set(),
+                          cfg.guard_m, cfg.est_guard_scan);
   }
 
   // A missing entity is credited by how far along it is toward matching.

@@ -54,6 +54,35 @@ TEST_F(ExtensionsTest, WhyEmptyHopelessLabel) {
   EXPECT_FALSE(r.found);
 }
 
+// Two Products with one Review each, asked for a Product with two Review
+// nodes: no isomorphic match exists, but under simulation both Review
+// nodes map to the one review, so the answer is not empty and Why-empty
+// must say so rather than search for a relaxation.
+TEST(WhyEmptySemanticsTest, NonEmptyUnderSimulationIsFound) {
+  GraphBuilder b;
+  for (int i = 0; i < 2; ++i) {
+    b.AddEdge(b.AddNode("Review"), b.AddNode("Product"), "reviewOf");
+  }
+  Graph g = b.Build();
+  std::string error;
+  std::optional<Query> q = ParseQuery(
+      "node p Product\nnode r1 Review\nnode r2 Review\n"
+      "edge r1 p reviewOf\nedge r2 p reviewOf\noutput p\n",
+      g, &error);
+  ASSERT_TRUE(q.has_value()) << error;
+  ASSERT_FALSE(Matcher(g).HasAnyMatch(*q))
+      << "the fixture no longer tells the semantics apart";
+  AnswerConfig cfg;
+  cfg.semantics = MatchSemantics::kSimulation;
+  std::vector<NodeId> sim_answers =
+      MakeMatchEngine(g, cfg.semantics)->MatchOutput(*q);
+  ASSERT_EQ(sim_answers.size(), 2u);
+  WhyEmptyResult r = AnswerWhyEmpty(g, *q, cfg);
+  EXPECT_TRUE(r.found);
+  EXPECT_TRUE(r.ops.empty());
+  EXPECT_EQ(r.sample_answers, sim_answers);
+}
+
 TEST_F(ExtensionsTest, WhySoManyAlreadySmall) {
   WhySoManyResult r =
       AnswerWhySoMany(f_.graph, f_.query, answers_, 5, cfg_);

@@ -1,7 +1,7 @@
 // Fixture (never compiled): allocations inside the loops of hot-path
 // functions — rule "hot-loop-alloc" must flag each allocation or
 // container-growth token inside a loop of Extend / SearchFrom / Recurse /
-// Maximal.
+// Maximal / Walk / EstimateWhy / EstimateWhyNot.
 #include <vector>
 
 namespace whyq {
@@ -19,6 +19,22 @@ bool SearchFrom(std::vector<int*>& slots, int n) {
     --n;
   }
   return true;
+}
+
+bool Walk(std::vector<int>& trail, int n) {
+  for (int v = 0; v < n; ++v) {
+    trail.emplace_back(v);  // BAD: growth per visited neighbor
+  }
+  return false;
+}
+
+int EstimateWhy(std::vector<int>& live, const std::vector<int>& nodes) {
+  int passed = 0;
+  for (int v : nodes) {
+    live.assign(4, v);  // BAD: a per-rewrite binding rebuilt per probed node
+    passed += live[0];
+  }
+  return passed;
 }
 
 }  // namespace whyq

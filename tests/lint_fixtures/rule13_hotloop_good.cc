@@ -13,6 +13,15 @@ bool Extend(std::vector<int>& scratch, int n) {
   return false;
 }
 
+int EstimateWhyNot(std::vector<int>& live, const std::vector<int>& nodes) {
+  live.assign(4, 0);  // ok: the per-rewrite binding, before the node loop
+  int passed = 0;
+  for (int v : nodes) {
+    passed += live[static_cast<size_t>(v) % 4];  // ok: no growth per node
+  }
+  return passed;
+}
+
 std::vector<int> CollectMatches(int n) {
   std::vector<int> out;
   for (int v = 0; v < n; ++v) {

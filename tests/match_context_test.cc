@@ -2,9 +2,10 @@
 //   1. unit tests of the memo itself (lookup = the IsCandidate filter,
 //      hit/miss/delta accounting, literal-order-insensitive signatures,
 //      Seed/Prime);
-//   2. an equivalence property: over random graphs and random operator-set
+//   2. equivalence properties: over random graphs and random operator-set
 //      rewrites, every matcher API answers byte-identically with and
-//      without a context, under both semantics;
+//      without a context, under both semantics, and the path-index probes
+//      bound over a shared context agree with a context-free reference;
 //   3. a counter-based perf regression on a fixed BSBM fixture: the
 //      context path never does more work than the context-free path, all
 //      pruned work is accounted for exactly, and both paths stay under
@@ -14,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -26,7 +29,9 @@
 #include "matcher/match_context.h"
 #include "matcher/match_engine.h"
 #include "matcher/matcher.h"
+#include "matcher/path_index.h"
 #include "rewrite/operators.h"
+#include "why/est_match.h"
 #include "why/picky.h"
 #include "why/question.h"
 
@@ -169,52 +174,190 @@ void ExpectEquivalent(const Graph& g, const Query& q,
             memo->CountAnswersNotIn(q, exclude, 3));
 }
 
+// The random rewrite universe of the equivalence properties: a generated
+// query over a DBpedia-profile graph, its refinement + relaxation picky
+// operators (first answers as unexpected/missing stand-ins), and probe
+// nodes (answers plus random nodes, a mix of members and non-members).
+struct RewriteUniverse {
+  Graph g;
+  Query q;
+  std::vector<EditOp> ops;
+  std::vector<NodeId> probes;
+};
+
+RewriteUniverse MakeRewriteUniverse(uint64_t seed, Rng& rng) {
+  RewriteUniverse u{GenerateProfile(DatasetProfile::kDBpedia, 1200, seed),
+                    Query(), {}, {}};
+  const Graph& g = u.g;
+  QueryGenConfig qc;
+  qc.edges = 4;
+  qc.literals_per_node = 2;
+  qc.min_answers = 1;
+  std::optional<GeneratedQuery> gen = GenerateQuery(g, qc, rng);
+  EXPECT_TRUE(gen.has_value()) << "seed " << seed;
+  if (!gen.has_value()) return u;
+  u.q = gen->query;
+
+  AnswerConfig cfg;
+  std::vector<NodeId> entities(gen->answers.begin(),
+                               gen->answers.begin() +
+                                   std::min<size_t>(2, gen->answers.size()));
+  u.ops = GenPickyWhy(g, u.q, gen->answers, entities, cfg);
+  std::vector<EditOp> relax = GenPickyWhyNot(g, u.q, entities, cfg);
+  u.ops.insert(u.ops.end(), relax.begin(), relax.end());
+
+  u.probes = gen->answers;
+  for (int i = 0; i < 8; ++i) {
+    u.probes.push_back(static_cast<NodeId>(rng.Index(g.node_count())));
+  }
+  return u;
+}
+
 TEST(MatchContextEquivalenceTest, RandomRewritesBothSemantics) {
   for (uint64_t seed : {11u, 23u}) {
-    Graph g = GenerateProfile(DatasetProfile::kDBpedia, 1200, seed);
     Rng rng(seed * 101 + 7);
-    QueryGenConfig qc;
-    qc.edges = 4;
-    qc.literals_per_node = 2;
-    qc.min_answers = 1;
-    std::optional<GeneratedQuery> gen = GenerateQuery(g, qc, rng);
-    ASSERT_TRUE(gen.has_value()) << "seed " << seed;
-    const Query& q = gen->query;
-
-    // Rewrite universe: refinement + relaxation picky operators for the
-    // generated answers (first answers as unexpected/missing stand-ins).
-    AnswerConfig cfg;
-    std::vector<NodeId> entities(gen->answers.begin(),
-                                 gen->answers.begin() +
-                                     std::min<size_t>(2, gen->answers.size()));
-    std::vector<EditOp> ops =
-        GenPickyWhy(g, q, gen->answers, entities, cfg);
-    std::vector<EditOp> relax = GenPickyWhyNot(g, q, entities, cfg);
-    ops.insert(ops.end(), relax.begin(), relax.end());
-
-    // Probe nodes: answers plus random nodes (mix of members/non-members).
-    std::vector<NodeId> probes = gen->answers;
-    for (int i = 0; i < 8; ++i) {
-      probes.push_back(static_cast<NodeId>(rng.Index(g.node_count())));
-    }
-
+    RewriteUniverse u = MakeRewriteUniverse(seed, rng);
+    ASSERT_GT(u.q.node_count(), 0u) << "seed " << seed;
+    const Graph& g = u.g;
     for (MatchSemantics sem :
          {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
       // One context reused across the whole rewrite sweep — the memo must
       // stay correct as signatures accumulate, exactly like inside one
       // Why/Why-not question.
       MatchContext ctx(g);
-      ExpectEquivalent(g, q, probes, sem, &ctx);
-      for (int trial = 0; trial < 12 && !ops.empty(); ++trial) {
+      ExpectEquivalent(g, u.q, u.probes, sem, &ctx);
+      for (int trial = 0; trial < 12 && !u.ops.empty(); ++trial) {
         OperatorSet set;
-        for (size_t idx : rng.SampleDistinct(ops.size(),
+        for (size_t idx : rng.SampleDistinct(u.ops.size(),
                                              1 + rng.Index(3))) {
-          set.push_back(ops[idx]);
+          set.push_back(u.ops[idx]);
         }
-        Query rw = ApplyOperators(q, set);
-        ExpectEquivalent(g, rw, probes, sem, &ctx);
+        Query rw = ApplyOperators(u.q, set);
+        ExpectEquivalent(g, rw, u.probes, sem, &ctx);
       }
     }
+  }
+}
+
+// --- Path-index probes: bound view vs a context-free reference. ---------
+
+// The context-free reference walk: step liveness (target node present,
+// query edge present) and IsCandidate re-evaluated at every step of every
+// probe. `dead` counts the steps it found dead.
+bool ReferenceWalk(const Graph& g, const Query& rw,
+                   const std::vector<PathIndex::Step>& path, size_t pos,
+                   NodeId at, size_t* dead) {
+  if (pos == path.size()) return true;
+  const PathIndex::Step& s = path[pos];
+  QueryEdge e;
+  e.label = s.edge_label;
+  e.src = s.forward ? s.from : s.to;
+  e.dst = s.forward ? s.to : s.from;
+  if (s.to >= rw.node_count() ||
+      std::find(rw.edges().begin(), rw.edges().end(), e) ==
+          rw.edges().end()) {
+    ++*dead;
+    return true;
+  }
+  NodeSpan span = s.forward ? g.LabeledOutNeighbors(at, s.edge_label)
+                            : g.LabeledInNeighbors(at, s.edge_label);
+  for (NodeId other : span) {
+    if (IsCandidate(g, other, rw.node(s.to)) &&
+        ReferenceWalk(g, rw, path, pos + 1, other, dead)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Reference (Passes, PassFraction) of v under `rw`.
+std::pair<bool, double> ReferencePathTest(const Graph& g, const Query& rw,
+                                          const PathIndex& pidx, NodeId v,
+                                          size_t* dead) {
+  bool out_ok = IsCandidate(g, v, rw.node(rw.output()));
+  size_t passed = out_ok ? 1 : 0;
+  bool all = out_ok;
+  for (const std::vector<PathIndex::Step>& path : pidx.paths()) {
+    if (ReferenceWalk(g, rw, path, 0, v, dead)) {
+      ++passed;
+    } else {
+      all = false;
+    }
+  }
+  return {all, static_cast<double>(passed) /
+                   static_cast<double>(1 + pidx.path_count())};
+}
+
+std::string Describe(const CloseEstimate& e) {
+  return std::to_string(e.closeness) + "/" + std::to_string(e.guard) + "/" +
+         std::to_string(e.guard_ok);
+}
+
+// Every single-operator rewrite of the universe (so each RmE and AddE is
+// exercised on its own) plus random operator sets: a probe bound over one
+// context shared by the whole sweep answers every Passes/PassFraction like
+// the reference, and EstimateWhy/EstimateWhyNot give the same estimate
+// with and without a context.
+TEST(MatchContextEquivalenceTest, PathProbesMatchContextFreeReference) {
+  for (uint64_t seed : {11u, 23u}) {
+    Rng rng(seed * 101 + 7);
+    RewriteUniverse u = MakeRewriteUniverse(seed, rng);
+    ASSERT_GT(u.q.node_count(), 0u) << "seed " << seed;
+    const Graph& g = u.g;
+    size_t removes = 0;
+    size_t adds = 0;
+    std::vector<OperatorSet> sets;
+    for (const EditOp& op : u.ops) {
+      removes += op.kind == OpKind::kRmE ? 1 : 0;
+      adds += op.kind == OpKind::kAddE ? 1 : 0;
+      sets.push_back({op});
+    }
+    EXPECT_GT(removes, 0u) << "seed " << seed;
+    EXPECT_GT(adds, 0u) << "seed " << seed;
+    for (int trial = 0; trial < 24 && !u.ops.empty(); ++trial) {
+      OperatorSet set;
+      for (size_t idx : rng.SampleDistinct(u.ops.size(), 2 + rng.Index(3))) {
+        const EditOp& op = u.ops[idx];
+        if (std::none_of(set.begin(), set.end(), [&](const EditOp& in) {
+              return OpsConflict(in, op);
+            })) {
+          set.push_back(op);
+        }
+      }
+      sets.push_back(std::move(set));
+    }
+
+    PathIndex pidx(u.q, 8);
+    MatchContext ctx(g);
+    NodeSet none(std::vector<NodeId>{}, g.node_count());
+    // Half the probes stand in for V_N / V_C, the rest for the guard side.
+    const size_t half = u.probes.size() / 2;
+    std::vector<NodeId> targets(u.probes.begin(), u.probes.begin() + half);
+    std::vector<NodeId> others(u.probes.begin() + half, u.probes.end());
+    NodeSet protect(targets, g.node_count());
+    size_t dead = 0;
+    size_t grown = 0;
+    for (const OperatorSet& set : sets) {
+      Query rw = ApplyOperators(u.q, set);
+      grown += rw.node_count() > u.q.node_count() ? 1 : 0;
+      PathIndex::Probe bound = pidx.Bind(g, rw, &ctx);
+      PathIndex::Probe plain = pidx.Bind(g, rw);
+      for (NodeId v : u.probes) {
+        std::pair<bool, double> ref = ReferencePathTest(g, rw, pidx, v, &dead);
+        EXPECT_EQ(bound.Passes(v), ref.first) << "node " << v;
+        EXPECT_EQ(bound.PassFraction(v), ref.second) << "node " << v;
+        EXPECT_EQ(plain.Passes(v), ref.first) << "node " << v;
+        EXPECT_EQ(plain.PassFraction(v), ref.second) << "node " << v;
+      }
+      EXPECT_EQ(Describe(EstimateWhy(bound, none, targets, others, 1)),
+                Describe(EstimateWhy(plain, none, targets, others, 1)));
+      EXPECT_EQ(Describe(EstimateWhyNot(bound, none, targets, protect, 3,
+                                        200)),
+                Describe(EstimateWhyNot(plain, none, targets, protect, 3,
+                                        200)));
+    }
+    EXPECT_GT(dead, 0u) << "seed " << seed;
+    EXPECT_GT(grown, 0u) << "seed " << seed;
   }
 }
 

@@ -708,6 +708,94 @@ TEST(GuardChecksTest, PinnedForExactSearchesAtOneAndFourThreads) {
   }
 }
 
+// Sets enumerated by the exact searches on Figure 1 at guard 0 (Why-not at
+// budget 5), pinned as literals: a parallel run reports the serial
+// search's count (the sets reduced up to the early stop), not the
+// lookahead its batches emitted past it.
+std::vector<std::pair<std::string, size_t>> EnumeratedCounts(size_t threads) {
+  std::vector<std::pair<std::string, size_t>> out;
+  Figure1 f = MakeFigure1();
+  std::vector<NodeId> answers = Matcher(f.graph).MatchOutput(f.query);
+  AnswerConfig cfg = BaseConfig(threads);
+  cfg.guard_m = 0;
+  out.emplace_back("fig1/ExactWhy",
+                   ExactWhy(f.graph, f.query, answers,
+                            WhyQuestion{{f.a5, f.s5}}, cfg)
+                       .sets_enumerated);
+  WhyNotQuestion whynot;
+  whynot.missing = {f.s8, f.s9};
+  cfg.budget = 5.0;
+  out.emplace_back(
+      "fig1/ExactWhyNot",
+      ExactWhyNot(f.graph, f.query, answers, whynot, cfg).sets_enumerated);
+  return out;
+}
+
+TEST(GuardChecksTest, SetsEnumeratedPinnedAtOneAndFourThreads) {
+  const std::vector<std::pair<std::string, size_t>> expected = {
+      {"fig1/ExactWhy", 2},
+      {"fig1/ExactWhyNot", 4},
+  };
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    EXPECT_EQ(EnumeratedCounts(threads), expected) << "threads=" << threads;
+  }
+}
+
+// Candidate-memo work of the estimating greedy drivers (ApproxWhy and
+// FastWhyNot) at threads=1, pinned as literals. Misses and delta builds
+// count the distinct signatures the path-index probes insert; hits count
+// one lookup per (rewrite, reached query node), because each scored
+// rewrite binds its probe once. A return to per-probe resolution raises
+// the hits and fails here. Not pinned at threads > 1: there the split of
+// first lookups across slot contexts depends on scheduling.
+std::vector<std::pair<std::string, std::string>> EstMatchWork() {
+  auto work = [](const RewriteAnswer& a) {
+    return "hits=" + std::to_string(a.ctx_hits) +
+           "|misses=" + std::to_string(a.ctx_misses) +
+           "|delta=" + std::to_string(a.ctx_delta_builds);
+  };
+  std::vector<std::pair<std::string, std::string>> out;
+  Figure1 f = MakeFigure1();
+  std::vector<NodeId> fig1_answers = Matcher(f.graph).MatchOutput(f.query);
+  AnswerConfig cfg = BaseConfig(1);
+  cfg.guard_m = 0;
+  out.emplace_back("fig1/ApproxWhy",
+                   work(ApproxWhy(f.graph, f.query, fig1_answers,
+                                  WhyQuestion{{f.a5, f.s5}}, cfg)));
+  WhyNotQuestion whynot;
+  whynot.missing = {f.s8, f.s9};
+  cfg.budget = 5.0;
+  cfg.guard_m = 2;
+  out.emplace_back(
+      "fig1/FastWhyNot",
+      work(FastWhyNot(f.graph, f.query, fig1_answers, whynot, cfg)));
+
+  const Graph& g = SweepGraph();
+  const Workload w = SweepWorkload(g);
+  const Workload::Item& item = w.items.at(0);
+  std::vector<NodeId> answers = Matcher(g).MatchOutput(item.gq.query);
+  cfg = BaseConfig(1);
+  out.emplace_back("sweep/0/ApproxWhy",
+                   work(ApproxWhy(g, item.gq.query, answers,
+                                  WhyQuestion{{answers.at(0)}}, cfg)));
+  out.emplace_back(
+      "sweep/0/FastWhyNot",
+      work(FastWhyNot(g, item.gq.query, answers, item.whynot, cfg)));
+  return out;
+}
+
+TEST(EstMatchWorkTest, ContextCountersPinnedAtOneThread) {
+  // Per-probe resolution read hits 170, 517, 10320 and 2094 here, with
+  // the same misses and delta builds.
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"fig1/ApproxWhy", "hits=94|misses=13|delta=3"},
+      {"fig1/FastWhyNot", "hits=180|misses=7|delta=9"},
+      {"sweep/0/ApproxWhy", "hits=5308|misses=100|delta=0"},
+      {"sweep/0/FastWhyNot", "hits=54|misses=7|delta=2"},
+  };
+  EXPECT_EQ(EstMatchWork(), expected);
+}
+
 TEST(ParallelDeterminismTest, WhyAlgorithmsMatchSerial) {
   const Graph& g = SweepGraph();
   Workload w = SweepWorkload(g);

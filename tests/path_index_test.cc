@@ -31,15 +31,15 @@ TEST(PathIndexTest, SingleNodeQueryHasNoPaths) {
   PathIndex idx(q, 8);
   EXPECT_EQ(idx.path_count(), 0u);
   // Passes degenerates to the candidate test.
-  EXPECT_TRUE(idx.Passes(f.graph, q, f.s6));
-  EXPECT_FALSE(idx.Passes(f.graph, q, 0));  // a Brand node
+  EXPECT_TRUE(idx.Bind(f.graph, q).Passes(f.s6));
+  EXPECT_FALSE(idx.Bind(f.graph, q).Passes(0));  // a Brand node
 }
 
 TEST(PathIndexTest, AnswersAlwaysPass) {
   Figure1 f = MakeFigure1();
   PathIndex idx(f.query, 8);
   for (NodeId v : {f.a5, f.s5, f.s6}) {
-    EXPECT_TRUE(idx.Passes(f.graph, f.query, v));
+    EXPECT_TRUE(idx.Bind(f.graph, f.query).Passes(v));
   }
 }
 
@@ -47,8 +47,8 @@ TEST(PathIndexTest, NonAnswersWithBrokenPathsFail) {
   Figure1 f = MakeFigure1();
   PathIndex idx(f.query, 8);
   // S8 fails the output literal (price), S9 additionally lacks pink.
-  EXPECT_FALSE(idx.Passes(f.graph, f.query, f.s8));
-  EXPECT_FALSE(idx.Passes(f.graph, f.query, f.s9));
+  EXPECT_FALSE(idx.Bind(f.graph, f.query).Passes(f.s8));
+  EXPECT_FALSE(idx.Bind(f.graph, f.query).Passes(f.s9));
 }
 
 TEST(PathIndexTest, RemovedEdgeNoLongerConstrains) {
@@ -61,19 +61,20 @@ TEST(PathIndexTest, RemovedEdgeNoLongerConstrains) {
   Literal before{price, CompareOp::kLe, Value(int64_t{650})};
   Literal after{price, CompareOp::kLe, Value(int64_t{800})};
   ASSERT_TRUE(relaxed.ReplaceLiteral(relaxed.output(), before, after));
-  EXPECT_FALSE(idx.Passes(f.graph, relaxed, f.s8));  // deal literal blocks
+  // The deal literal blocks.
+  EXPECT_FALSE(idx.Bind(f.graph, relaxed).Passes(f.s8));
   SymbolId deal = *f.graph.edge_labels().Find("deal");
   ASSERT_TRUE(relaxed.RemoveEdge(0, 2, deal));
-  EXPECT_TRUE(idx.Passes(f.graph, relaxed, f.s8));
+  EXPECT_TRUE(idx.Bind(f.graph, relaxed).Passes(f.s8));
 }
 
 TEST(PathIndexTest, PassFractionPartialCredit) {
   Figure1 f = MakeFigure1();
   PathIndex idx(f.query, 8);
-  double frac_s8 = idx.PassFraction(f.graph, f.query, f.s8);
+  double frac_s8 = idx.Bind(f.graph, f.query).PassFraction(f.s8);
   EXPECT_GT(frac_s8, 0.0);  // brand + color paths pass
   EXPECT_LT(frac_s8, 1.0);  // candidate test + deal path fail
-  EXPECT_DOUBLE_EQ(idx.PassFraction(f.graph, f.query, f.s6), 1.0);
+  EXPECT_DOUBLE_EQ(idx.Bind(f.graph, f.query).PassFraction(f.s6), 1.0);
 }
 
 // Property: the path test is a *necessary* condition for answering —
@@ -91,7 +92,7 @@ TEST(PathIndexTest, PassingIsNecessaryForMatching) {
     if (!gq.has_value()) continue;
     PathIndex idx(gq->query, 8);
     for (NodeId v : gq->answers) {
-      EXPECT_TRUE(idx.Passes(g, gq->query, v));
+      EXPECT_TRUE(idx.Bind(g, gq->query).Passes(v));
       ++checked;
     }
   }

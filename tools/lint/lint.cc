@@ -954,12 +954,15 @@ void CheckUncheckedStatus(const std::string& path, const TuModel& model,
 // Rule: hot-loop-alloc
 // ---------------------------------------------------------------------------
 
-// The per-embedding hot path: Matcher::Extend / Matcher::SearchFrom and the
-// MBS enumerator's Recurse/Maximal. Scratch there is pre-sized by the
-// caller (assignment slots, conflict counters, the current set's reserve);
-// an allocation per iteration would undo that discipline.
-const char* const kHotFunctions[] = {"Extend", "SearchFrom", "Recurse",
-                                     "Maximal"};
+// The per-embedding hot path: Matcher::Extend / Matcher::SearchFrom, the
+// MBS enumerator's Recurse/Maximal, and EstMatch's per-node path tests —
+// PathIndex::Probe::Walk and the probe loops of EstimateWhy /
+// EstimateWhyNot. Scratch there is pre-sized by the caller (assignment
+// slots, conflict counters, the current set's reserve, a probe's per-
+// rewrite binding); an allocation per iteration would undo that discipline.
+const char* const kHotFunctions[] = {"Extend",  "SearchFrom",  "Recurse",
+                                     "Maximal", "Walk",        "EstimateWhy",
+                                     "EstimateWhyNot"};
 
 const char* const kAllocTokens[] = {
     "new",          "make_shared", "make_unique", "malloc",
