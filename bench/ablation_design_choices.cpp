@@ -52,7 +52,8 @@ void AblateWeightedCost(const Flags& flags) {
   for (bool weighted : {true, false}) {
     AnswerConfig cfg = ExactAnswerConfig();
     cfg.weighted_cost = weighted;
-    Aggregate a = Summarize(RunWhyNotBatch(g, w, WhyNotAlgo::kExact, cfg));
+    Aggregate a = Summarize(
+        RunBatch(g, w, Direction::kWhyNot, AlgoChoice::kExact, cfg));
     t.AddRow({weighted ? "weighted (1+|c'-c|/range)" : "unit",
               TextTable::Num(a.avg_closeness), TextTable::Num(a.avg_cost, 2),
               std::to_string(a.n)});
@@ -71,7 +72,8 @@ void AblatePostProcessing(const Flags& flags) {
   for (bool minimize : {true, false}) {
     AnswerConfig cfg = ExactAnswerConfig();
     cfg.minimize_cost = minimize;
-    Aggregate a = Summarize(RunWhyBatch(g, w, WhyAlgo::kExact, cfg));
+    Aggregate a =
+        Summarize(RunBatch(g, w, Direction::kWhy, AlgoChoice::kExact, cfg));
     t.AddRow({minimize ? "minimal-MBS" : "off",
               TextTable::Num(a.avg_closeness), TextTable::Num(a.avg_cost, 2),
               TextTable::Num(a.avg_time_ms, 1), std::to_string(a.n)});
@@ -90,7 +92,8 @@ void AblateTimeBudget(const Flags& flags) {
   for (double limit : {100.0, 500.0, 3000.0, 10000.0}) {
     AnswerConfig cfg = ExactAnswerConfig();
     cfg.exact_time_limit_ms = limit;
-    Aggregate a = Summarize(RunWhyBatch(g, w, WhyAlgo::kExact, cfg));
+    Aggregate a =
+        Summarize(RunBatch(g, w, Direction::kWhy, AlgoChoice::kExact, cfg));
     t.AddRow({TextTable::Num(limit, 0), TextTable::Num(a.avg_closeness),
               TextTable::Num(a.exhaustive_fraction, 2),
               TextTable::Num(a.avg_time_ms, 1), std::to_string(a.n)});

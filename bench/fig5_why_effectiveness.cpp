@@ -13,6 +13,11 @@
 namespace whyq::bench {
 namespace {
 
+constexpr Direction kDir = Direction::kWhy;
+
+constexpr AlgoChoice kAlgos[] = {AlgoChoice::kExact, AlgoChoice::kAuto,
+                                 AlgoChoice::kIso};
+
 void PartA(const Flags& flags) {
   TextTable t({"dataset", "algorithm", "avg_closeness", "ratio_to_exact",
                "n"});
@@ -21,15 +26,15 @@ void PartA(const Flags& flags) {
     Workload w = MakeWorkload(g, DefaultWorkload(flags, 6));
     AnswerConfig exact_cfg = ExactAnswerConfig();
     AnswerConfig greedy_cfg = DefaultAnswerConfig();
-    std::vector<RunResult> exact = RunWhyBatch(g, w, WhyAlgo::kExact,
-                                               exact_cfg);
-    for (auto [algo, cfg] : {std::pair{WhyAlgo::kExact, exact_cfg},
-                             std::pair{WhyAlgo::kApprox, greedy_cfg},
-                             std::pair{WhyAlgo::kIso, greedy_cfg}}) {
+    std::vector<RunResult> exact =
+        RunBatch(g, w, kDir, AlgoChoice::kExact, exact_cfg);
+    for (auto [algo, cfg] : {std::pair{AlgoChoice::kExact, exact_cfg},
+                             std::pair{AlgoChoice::kAuto, greedy_cfg},
+                             std::pair{AlgoChoice::kIso, greedy_cfg}}) {
       std::vector<RunResult> r =
-          algo == WhyAlgo::kExact ? exact : RunWhyBatch(g, w, algo, cfg);
+          algo == AlgoChoice::kExact ? exact : RunBatch(g, w, kDir, algo, cfg);
       Aggregate a = Summarize(r, &exact);
-      t.AddRow({DatasetProfileName(p), WhyAlgoName(algo),
+      t.AddRow({DatasetProfileName(p), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_closeness),
                 TextTable::Num(a.ratio_to_ref), std::to_string(a.n)});
     }
@@ -47,13 +52,12 @@ void PartB(const Flags& flags) {
       wc.query.edges = edges;
       wc.query.literals_per_node = lits;
       Workload w = MakeWorkload(g, wc);
-      for (WhyAlgo algo :
-           {WhyAlgo::kExact, WhyAlgo::kApprox, WhyAlgo::kIso}) {
-        AnswerConfig cfg = algo == WhyAlgo::kExact ? ExactAnswerConfig()
-                                                   : DefaultAnswerConfig();
-        Aggregate a = Summarize(RunWhyBatch(g, w, algo, cfg));
+      for (AlgoChoice algo : kAlgos) {
+        AnswerConfig cfg = algo == AlgoChoice::kExact ? ExactAnswerConfig()
+                                                      : DefaultAnswerConfig();
+        Aggregate a = Summarize(RunBatch(g, w, kDir, algo, cfg));
         t.AddRow({std::to_string(edges), std::to_string(lits),
-                  WhyAlgoName(algo), TextTable::Num(a.avg_closeness),
+                  AlgorithmName(kDir, algo), TextTable::Num(a.avg_closeness),
                   std::to_string(a.n)});
       }
     }
@@ -71,12 +75,12 @@ void PartC(const Flags& flags) {
   Graph g = BenchGraph(DatasetProfile::kDBpedia, flags);
   Workload w = MakeWorkload(g, DefaultWorkload(flags, 8));
   for (double budget : {1.0, 2.0, 3.0, 4.0, 5.0}) {
-    for (WhyAlgo algo : {WhyAlgo::kExact, WhyAlgo::kApprox, WhyAlgo::kIso}) {
-      AnswerConfig cfg = algo == WhyAlgo::kExact ? ExactAnswerConfig()
-                                                 : DefaultAnswerConfig();
+    for (AlgoChoice algo : kAlgos) {
+      AnswerConfig cfg = algo == AlgoChoice::kExact ? ExactAnswerConfig()
+                                                    : DefaultAnswerConfig();
       cfg.budget = budget;
-      Aggregate a = Summarize(RunWhyBatch(g, w, algo, cfg));
-      t.AddRow({TextTable::Num(budget, 0), WhyAlgoName(algo),
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, cfg));
+      t.AddRow({TextTable::Num(budget, 0), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_closeness), std::to_string(a.n)});
     }
   }
@@ -96,11 +100,11 @@ void PartD(const Flags& flags) {
   Workload w = MakeWorkload(g, wc);
   Rng rng(flags.seed + 1);
   for (size_t size = 1; size <= 5; ++size) {
-    for (WhyAlgo algo : {WhyAlgo::kExact, WhyAlgo::kApprox, WhyAlgo::kIso}) {
-      AnswerConfig cfg = algo == WhyAlgo::kExact ? ExactAnswerConfig()
-                                                 : DefaultAnswerConfig();
-      Aggregate a = Summarize(RunWhyBatch(g, w, algo, cfg));
-      t.AddRow({std::to_string(size), WhyAlgoName(algo),
+    for (AlgoChoice algo : kAlgos) {
+      AnswerConfig cfg = algo == AlgoChoice::kExact ? ExactAnswerConfig()
+                                                    : DefaultAnswerConfig();
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, cfg));
+      t.AddRow({std::to_string(size), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_closeness), std::to_string(a.n)});
     }
     // Grow every item's question by one entity for the next round.

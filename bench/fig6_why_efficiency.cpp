@@ -16,12 +16,14 @@
 namespace whyq::bench {
 namespace {
 
-constexpr WhyAlgo kAlgos[] = {WhyAlgo::kExact, WhyAlgo::kApprox,
-                              WhyAlgo::kIso};
+constexpr Direction kDir = Direction::kWhy;
 
-AnswerConfig ConfigFor(WhyAlgo algo) {
-  return algo == WhyAlgo::kExact ? ExactAnswerConfig()
-                                 : DefaultAnswerConfig();
+constexpr AlgoChoice kAlgos[] = {AlgoChoice::kExact, AlgoChoice::kAuto,
+                                 AlgoChoice::kIso};
+
+AnswerConfig ConfigFor(AlgoChoice algo) {
+  return algo == AlgoChoice::kExact ? ExactAnswerConfig()
+                                    : DefaultAnswerConfig();
 }
 
 void PartA(const Flags& flags) {
@@ -31,11 +33,11 @@ void PartA(const Flags& flags) {
     Graph g = BenchGraph(p, flags);
     Workload w = MakeWorkload(g, DefaultWorkload(flags, 6));
     double exact_ms = 0.0;
-    for (WhyAlgo algo : kAlgos) {
-      Aggregate a = Summarize(RunWhyBatch(g, w, algo, ConfigFor(algo)));
-      if (algo == WhyAlgo::kExact) exact_ms = a.avg_time_ms;
+    for (AlgoChoice algo : kAlgos) {
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, ConfigFor(algo)));
+      if (algo == AlgoChoice::kExact) exact_ms = a.avg_time_ms;
       double speedup = a.avg_time_ms > 0 ? exact_ms / a.avg_time_ms : 0.0;
-      t.AddRow({DatasetProfileName(p), WhyAlgoName(algo),
+      t.AddRow({DatasetProfileName(p), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_time_ms, 1), TextTable::Num(speedup, 1),
                 TextTable::Num(a.exhaustive_fraction, 2),
                 std::to_string(a.n)});
@@ -52,14 +54,14 @@ void PartB(const Flags& flags) {
     bc.products = static_cast<size_t>(products * flags.scale);
     Graph g = GenerateBsbm(bc);
     Workload w = MakeWorkload(g, DefaultWorkload(flags, 3));
-    for (WhyAlgo algo : kAlgos) {
+    for (AlgoChoice algo : kAlgos) {
       // The scalability sweep halves the picky cap: greedy selection is
       // quadratic in it, and the |G| trend is what this part shows.
       AnswerConfig cfg = ConfigFor(algo);
       cfg.max_picky_ops = 96;
-      Aggregate a = Summarize(RunWhyBatch(g, w, algo, cfg));
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, cfg));
       t.AddRow({std::to_string(g.node_count()),
-                std::to_string(g.edge_count()), WhyAlgoName(algo),
+                std::to_string(g.edge_count()), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_time_ms, 1), std::to_string(a.n)});
     }
   }
@@ -76,10 +78,10 @@ void PartC(const Flags& flags) {
       wc.query.edges = edges;
       wc.query.literals_per_node = lits;
       Workload w = MakeWorkload(g, wc);
-      for (WhyAlgo algo : kAlgos) {
-        Aggregate a = Summarize(RunWhyBatch(g, w, algo, ConfigFor(algo)));
+      for (AlgoChoice algo : kAlgos) {
+        Aggregate a = Summarize(RunBatch(g, w, kDir, algo, ConfigFor(algo)));
         t.AddRow({std::to_string(edges), std::to_string(lits),
-                  WhyAlgoName(algo), TextTable::Num(a.avg_time_ms, 1),
+                  AlgorithmName(kDir, algo), TextTable::Num(a.avg_time_ms, 1),
                   std::to_string(a.n)});
       }
     }
@@ -97,9 +99,9 @@ void PartD(const Flags& flags) {
     WorkloadConfig wc = DefaultWorkload(flags, 5);
     wc.query.topology = topo;
     Workload w = MakeWorkload(g, wc);
-    for (WhyAlgo algo : kAlgos) {
-      Aggregate a = Summarize(RunWhyBatch(g, w, algo, ConfigFor(algo)));
-      t.AddRow({QueryTopologyName(topo), WhyAlgoName(algo),
+    for (AlgoChoice algo : kAlgos) {
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, ConfigFor(algo)));
+      t.AddRow({QueryTopologyName(topo), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_time_ms, 1), std::to_string(a.n)});
     }
   }
@@ -113,11 +115,11 @@ void PartE(const Flags& flags) {
   Graph g = BenchGraph(DatasetProfile::kYago, flags);
   Workload w = MakeWorkload(g, DefaultWorkload(flags, 6));
   for (double budget : {1.0, 2.0, 3.0, 4.0, 5.0}) {
-    for (WhyAlgo algo : kAlgos) {
+    for (AlgoChoice algo : kAlgos) {
       AnswerConfig cfg = ConfigFor(algo);
       cfg.budget = budget;
-      Aggregate a = Summarize(RunWhyBatch(g, w, algo, cfg));
-      t.AddRow({TextTable::Num(budget, 0), WhyAlgoName(algo),
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, cfg));
+      t.AddRow({TextTable::Num(budget, 0), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_time_ms, 1), std::to_string(a.n)});
     }
   }
@@ -135,9 +137,9 @@ void PartF(const Flags& flags) {
   Workload w = MakeWorkload(g, wc);
   Rng rng(flags.seed + 1);
   for (size_t size = 1; size <= 5; ++size) {
-    for (WhyAlgo algo : kAlgos) {
-      Aggregate a = Summarize(RunWhyBatch(g, w, algo, ConfigFor(algo)));
-      t.AddRow({std::to_string(size), WhyAlgoName(algo),
+    for (AlgoChoice algo : kAlgos) {
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, ConfigFor(algo)));
+      t.AddRow({std::to_string(size), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_time_ms, 1), std::to_string(a.n)});
     }
     for (Workload::Item& item : w.items) {

@@ -14,11 +14,13 @@
 namespace whyq::bench {
 namespace {
 
-constexpr WhyNotAlgo kAlgos[] = {WhyNotAlgo::kExact, WhyNotAlgo::kFast,
-                                 WhyNotAlgo::kIso};
+constexpr Direction kDir = Direction::kWhyNot;
 
-AnswerConfig ConfigFor(WhyNotAlgo algo) {
-  return algo == WhyNotAlgo::kExact ? ExactAnswerConfig()
+constexpr AlgoChoice kAlgos[] = {AlgoChoice::kExact, AlgoChoice::kAuto,
+                                 AlgoChoice::kIso};
+
+AnswerConfig ConfigFor(AlgoChoice algo) {
+  return algo == AlgoChoice::kExact ? ExactAnswerConfig()
                                     : DefaultAnswerConfig();
 }
 
@@ -31,14 +33,14 @@ void PartA(const Flags& flags) {
     wc.constraint_literals = 2;  // paper: C has up to two literals
     Workload w = MakeWorkload(g, wc);
     std::vector<RunResult> exact =
-        RunWhyNotBatch(g, w, WhyNotAlgo::kExact, ConfigFor(WhyNotAlgo::kExact));
-    for (WhyNotAlgo algo : kAlgos) {
+        RunBatch(g, w, kDir, AlgoChoice::kExact, ConfigFor(AlgoChoice::kExact));
+    for (AlgoChoice algo : kAlgos) {
       std::vector<RunResult> r =
-          algo == WhyNotAlgo::kExact
+          algo == AlgoChoice::kExact
               ? exact
-              : RunWhyNotBatch(g, w, algo, ConfigFor(algo));
+              : RunBatch(g, w, kDir, algo, ConfigFor(algo));
       Aggregate a = Summarize(r, &exact);
-      t.AddRow({DatasetProfileName(p), WhyNotAlgoName(algo),
+      t.AddRow({DatasetProfileName(p), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_closeness),
                 TextTable::Num(a.ratio_to_ref), std::to_string(a.n)});
     }
@@ -56,10 +58,10 @@ void PartB(const Flags& flags) {
       wc.query.edges = edges;
       wc.query.literals_per_node = lits;
       Workload w = MakeWorkload(g, wc);
-      for (WhyNotAlgo algo : kAlgos) {
-        Aggregate a = Summarize(RunWhyNotBatch(g, w, algo, ConfigFor(algo)));
+      for (AlgoChoice algo : kAlgos) {
+        Aggregate a = Summarize(RunBatch(g, w, kDir, algo, ConfigFor(algo)));
         t.AddRow({std::to_string(edges), std::to_string(lits),
-                  WhyNotAlgoName(algo), TextTable::Num(a.avg_closeness),
+                  AlgorithmName(kDir, algo), TextTable::Num(a.avg_closeness),
                   std::to_string(a.n)});
       }
     }
@@ -75,11 +77,11 @@ void PartC(const Flags& flags) {
   Graph g = BenchGraph(DatasetProfile::kYago, flags);
   Workload w = MakeWorkload(g, DefaultWorkload(flags, 6));
   for (double budget : {1.0, 2.0, 3.0, 4.0, 5.0}) {
-    for (WhyNotAlgo algo : kAlgos) {
+    for (AlgoChoice algo : kAlgos) {
       AnswerConfig cfg = ConfigFor(algo);
       cfg.budget = budget;
-      Aggregate a = Summarize(RunWhyNotBatch(g, w, algo, cfg));
-      t.AddRow({TextTable::Num(budget, 0), WhyNotAlgoName(algo),
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, cfg));
+      t.AddRow({TextTable::Num(budget, 0), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_closeness), std::to_string(a.n)});
     }
   }
@@ -95,9 +97,9 @@ void PartD(const Flags& flags) {
     WorkloadConfig wc = DefaultWorkload(flags, 6);
     wc.whynot_size = size;
     Workload w = MakeWorkload(g, wc);
-    for (WhyNotAlgo algo : kAlgos) {
-      Aggregate a = Summarize(RunWhyNotBatch(g, w, algo, ConfigFor(algo)));
-      t.AddRow({std::to_string(size), WhyNotAlgoName(algo),
+    for (AlgoChoice algo : kAlgos) {
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, ConfigFor(algo)));
+      t.AddRow({std::to_string(size), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_closeness), std::to_string(a.n)});
     }
   }

@@ -11,11 +11,13 @@
 namespace whyq::bench {
 namespace {
 
-constexpr WhyNotAlgo kAlgos[] = {WhyNotAlgo::kExact, WhyNotAlgo::kIso,
-                                 WhyNotAlgo::kFast};
+constexpr Direction kDir = Direction::kWhyNot;
 
-AnswerConfig ConfigFor(WhyNotAlgo algo) {
-  return algo == WhyNotAlgo::kExact ? ExactAnswerConfig()
+constexpr AlgoChoice kAlgos[] = {AlgoChoice::kExact, AlgoChoice::kIso,
+                                 AlgoChoice::kAuto};
+
+AnswerConfig ConfigFor(AlgoChoice algo) {
+  return algo == AlgoChoice::kExact ? ExactAnswerConfig()
                                     : DefaultAnswerConfig();
 }
 
@@ -26,11 +28,11 @@ void PartA(const Flags& flags) {
     Graph g = BenchGraph(p, flags);
     Workload w = MakeWorkload(g, DefaultWorkload(flags, 6));
     double exact_ms = 0.0;
-    for (WhyNotAlgo algo : kAlgos) {
-      Aggregate a = Summarize(RunWhyNotBatch(g, w, algo, ConfigFor(algo)));
-      if (algo == WhyNotAlgo::kExact) exact_ms = a.avg_time_ms;
+    for (AlgoChoice algo : kAlgos) {
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, ConfigFor(algo)));
+      if (algo == AlgoChoice::kExact) exact_ms = a.avg_time_ms;
       double speedup = a.avg_time_ms > 0 ? exact_ms / a.avg_time_ms : 0.0;
-      t.AddRow({DatasetProfileName(p), WhyNotAlgoName(algo),
+      t.AddRow({DatasetProfileName(p), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_time_ms, 1), TextTable::Num(speedup, 1),
                 TextTable::Num(a.exhaustive_fraction, 2),
                 std::to_string(a.n)});
@@ -48,11 +50,12 @@ void PartB(const Flags& flags) {
     bc.products = static_cast<size_t>(products * flags.scale);
     Graph g = GenerateBsbm(bc);
     Workload w = MakeWorkload(g, DefaultWorkload(flags, 3));
-    for (WhyNotAlgo algo : kAlgos) {
+    for (AlgoChoice algo : kAlgos) {
       AnswerConfig cfg = ConfigFor(algo);
       cfg.max_picky_ops = 96;
-      Aggregate a = Summarize(RunWhyNotBatch(g, w, algo, cfg));
-      t.AddRow({"|V|", std::to_string(g.node_count()), WhyNotAlgoName(algo),
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, cfg));
+      t.AddRow({"|V|", std::to_string(g.node_count()),
+                AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_time_ms, 1), std::to_string(a.n)});
     }
   }
@@ -62,9 +65,9 @@ void PartB(const Flags& flags) {
     WorkloadConfig wc = DefaultWorkload(flags, 5);
     wc.query.edges = edges;
     Workload w = MakeWorkload(g, wc);
-    for (WhyNotAlgo algo : kAlgos) {
-      Aggregate a = Summarize(RunWhyNotBatch(g, w, algo, ConfigFor(algo)));
-      t.AddRow({"|E_Q|", std::to_string(edges), WhyNotAlgoName(algo),
+    for (AlgoChoice algo : kAlgos) {
+      Aggregate a = Summarize(RunBatch(g, w, kDir, algo, ConfigFor(algo)));
+      t.AddRow({"|E_Q|", std::to_string(edges), AlgorithmName(kDir, algo),
                 TextTable::Num(a.avg_time_ms, 1), std::to_string(a.n)});
     }
   }

@@ -45,82 +45,18 @@ Workload MakeWorkload(const Graph& g, const WorkloadConfig& cfg) {
   return w;
 }
 
-const char* WhyAlgoName(WhyAlgo a) {
-  switch (a) {
-    case WhyAlgo::kExact:
-      return "ExactWhy";
-    case WhyAlgo::kApprox:
-      return "ApproxWhy";
-    case WhyAlgo::kIso:
-      return "IsoWhy";
-  }
-  return "?";
-}
-
-const char* WhyNotAlgoName(WhyNotAlgo a) {
-  switch (a) {
-    case WhyNotAlgo::kExact:
-      return "ExactWhyNot";
-    case WhyNotAlgo::kFast:
-      return "FastWhyNot";
-    case WhyNotAlgo::kIso:
-      return "IsoWhyNot";
-  }
-  return "?";
-}
-
-std::vector<RunResult> RunWhyBatch(const Graph& g, const Workload& w,
-                                   WhyAlgo algo, const AnswerConfig& cfg) {
+std::vector<RunResult> RunBatch(const Graph& g, const Workload& w,
+                                Direction dir, AlgoChoice algo,
+                                const AnswerConfig& cfg) {
   std::vector<RunResult> out;
   out.reserve(w.items.size());
   for (const Workload::Item& item : w.items) {
+    const GeneratedQuery& gq = item.gq;
     Timer timer;
-    RewriteAnswer ans;
-    switch (algo) {
-      case WhyAlgo::kExact:
-        ans = ExactWhy(g, item.gq.query, item.gq.answers, item.why, cfg);
-        break;
-      case WhyAlgo::kApprox:
-        ans = ApproxWhy(g, item.gq.query, item.gq.answers, item.why, cfg);
-        break;
-      case WhyAlgo::kIso:
-        ans = IsoWhy(g, item.gq.query, item.gq.answers, item.why, cfg);
-        break;
-    }
-    RunResult r;
-    r.time_ms = timer.ElapsedMillis();
-    r.closeness = ans.eval.closeness;
-    r.cost = ans.cost;
-    r.guard_ok = ans.eval.guard_ok;
-    r.exhaustive = ans.exhaustive;
-    r.picky_count = ans.picky_count;
-    out.push_back(r);
-  }
-  return out;
-}
-
-std::vector<RunResult> RunWhyNotBatch(const Graph& g, const Workload& w,
-                                      WhyNotAlgo algo,
-                                      const AnswerConfig& cfg) {
-  std::vector<RunResult> out;
-  out.reserve(w.items.size());
-  for (const Workload::Item& item : w.items) {
-    Timer timer;
-    RewriteAnswer ans;
-    switch (algo) {
-      case WhyNotAlgo::kExact:
-        ans = ExactWhyNot(g, item.gq.query, item.gq.answers, item.whynot,
-                          cfg);
-        break;
-      case WhyNotAlgo::kFast:
-        ans = FastWhyNot(g, item.gq.query, item.gq.answers, item.whynot,
-                         cfg);
-        break;
-      case WhyNotAlgo::kIso:
-        ans = IsoWhyNot(g, item.gq.query, item.gq.answers, item.whynot,
-                        cfg);
-        break;
-    }
+    RewriteAnswer ans =
+        dir == Direction::kWhy
+            ? AnswerWhy(g, gq.query, gq.answers, item.why, algo, cfg)
+            : AnswerWhyNot(g, gq.query, gq.answers, item.whynot, algo, cfg);
     RunResult r;
     r.time_ms = timer.ElapsedMillis();
     r.closeness = ans.eval.closeness;

@@ -10,9 +10,8 @@
 #include "gen/query_gen.h"
 #include "gen/question_gen.h"
 #include "graph/graph.h"
+#include "why/extensions.h"
 #include "why/question.h"
-#include "why/why_algorithms.h"
-#include "why/whynot_algorithms.h"
 
 namespace whyq {
 
@@ -41,13 +40,6 @@ struct WorkloadConfig {
 /// question) are skipped, so the result may hold fewer than `items`.
 Workload MakeWorkload(const Graph& g, const WorkloadConfig& cfg);
 
-/// The algorithms under comparison, keyed for table output.
-enum class WhyAlgo { kExact, kApprox, kIso };
-enum class WhyNotAlgo { kExact, kFast, kIso };
-
-const char* WhyAlgoName(WhyAlgo a);
-const char* WhyNotAlgoName(WhyNotAlgo a);
-
 /// Per-item measurement of one algorithm run.
 struct RunResult {
   double closeness = 0.0;
@@ -58,11 +50,11 @@ struct RunResult {
   size_t picky_count = 0;
 };
 
-std::vector<RunResult> RunWhyBatch(const Graph& g, const Workload& w,
-                                   WhyAlgo algo, const AnswerConfig& cfg);
-std::vector<RunResult> RunWhyNotBatch(const Graph& g, const Workload& w,
-                                      WhyNotAlgo algo,
-                                      const AnswerConfig& cfg);
+/// Answers every item's Why (dir kWhy) or Why-not (dir kWhyNot) question
+/// with the algorithm AlgorithmName(dir, algo) names, timing each call.
+std::vector<RunResult> RunBatch(const Graph& g, const Workload& w,
+                                Direction dir, AlgoChoice algo,
+                                const AnswerConfig& cfg);
 
 /// Batch aggregate. `ratio_to_ref` compares item-wise closeness against a
 /// reference batch (the exact algorithm), the paper's "fraction of optimal

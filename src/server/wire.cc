@@ -185,15 +185,11 @@ bool ParseWireRequest(const std::string& line, WireRequest* out,
   if (const JsonValue* algo = doc.Find("algo")) {
     if (!algo->is_string()) return Fail(error, "'algo' must be a string");
     const std::string& a = algo->as_string();
-    if (a == "exact") {
-      req.algo = AlgoChoice::kExact;
-    } else if (a == "iso") {
-      req.algo = AlgoChoice::kIso;
-    } else if (a == "auto" || a == "approx" || a == "fast") {
-      req.algo = AlgoChoice::kAuto;
-    } else {
+    std::optional<AlgoChoice> choice = ParseAlgoChoice(a);
+    if (!choice.has_value()) {
       return Fail(error, "unknown algo '" + a + "' (auto|exact|iso)");
     }
+    req.algo = *choice;
   }
 
   if (const JsonValue* dl = doc.Find("deadline_ms")) {

@@ -470,6 +470,10 @@ std::string PlanFileName(uint64_t key_hash) {
   return std::string(buf);
 }
 
+uint64_t PlanFingerprint(const Graph& g) {
+  return g.frozen() ? g.identity() : GraphFingerprint(g);
+}
+
 PlanStore::PlanStore(std::string dir, uint64_t byte_budget)
     : dir_(std::move(dir)), byte_budget_(byte_budget) {
   ::mkdir(dir_.c_str(),

@@ -188,6 +188,11 @@ uint64_t PlanKeyHash(uint64_t graph_fingerprint, const std::string& key_body);
 /// The store filename for a key hash: 16 lowercase hex digits + ".plan".
 std::string PlanFileName(uint64_t key_hash);
 
+/// The fingerprint plans are stamped and addressed with: frozen
+/// (snapshot-backed) graphs already carry the content hash as identity();
+/// heap graphs pay one GraphFingerprint pass.
+uint64_t PlanFingerprint(const Graph& g);
+
 /// A bounded directory of plan files, content-addressed by PlanKeyHash.
 ///
 /// All file mutations (saves, restamps, deletes, evictions) run on one

@@ -24,14 +24,6 @@ enum class RequestKind {
 
 const char* RequestKindName(RequestKind k);
 
-/// Algorithm family per kind: kAuto picks the paper's fast variant
-/// (ApproxWhy / FastWhyNot); kExact the MBS enumeration; kIso the
-/// isomorphism-verified greedy baseline. Why-empty/Why-so-many have one
-/// implementation each and ignore the choice.
-enum class AlgoChoice { kAuto, kExact, kIso };
-
-const char* AlgoChoiceName(AlgoChoice a);
-
 /// One question submitted to the service. The query travels as DSL text
 /// (query_parser.h) so requests are self-contained and cacheable by
 /// canonical form; entities are graph node ids.
@@ -41,7 +33,7 @@ struct ServiceRequest {
   std::vector<NodeId> entities;  // Why: V_N; Why-not: V_C (others: unused)
   Constraint condition;          // Why-not selection condition C (optional)
   size_t target_k = 10;          // Why-so-many target
-  AlgoChoice algo = AlgoChoice::kAuto;
+  AlgoChoice algo = AlgoChoice::kAuto;  // why/extensions.h
 
   /// Per-request deadline in milliseconds, measured from *submission* (queue
   /// wait counts). 0 = no deadline. An expired request still produces a

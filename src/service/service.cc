@@ -3,10 +3,8 @@
 #include <chrono>
 #include <utility>
 
-#include "graph/snapshot.h"
 #include "query/query_parser.h"
 #include "service/plan.h"
-#include "why/whynot_algorithms.h"
 
 namespace whyq {
 
@@ -20,18 +18,6 @@ const char* RequestKindName(RequestKind k) {
       return "whyempty";
     case RequestKind::kWhySoMany:
       return "whysomany";
-  }
-  return "?";
-}
-
-const char* AlgoChoiceName(AlgoChoice a) {
-  switch (a) {
-    case AlgoChoice::kAuto:
-      return "auto";
-    case AlgoChoice::kExact:
-      return "exact";
-    case AlgoChoice::kIso:
-      return "iso";
   }
   return "?";
 }
@@ -62,12 +48,9 @@ WhyqService::WhyqService(std::shared_ptr<const Graph> graph,
   if (cfg_.workers == 0) cfg_.workers = 1;
   stats_.ConfigureSlowLog(cfg_.slow_query_ms, cfg_.slow_log_capacity);
   if (cfg_.plan_store != nullptr) {
-    // One content hash per epoch: frozen (snapshot-backed) graphs already
-    // carry it as identity(); heap graphs pay one fingerprint pass here
-    // (and one per update) so every request can stamp/validate plans
-    // without rehashing the graph.
-    plan_fp_ = graph_->frozen() ? graph_->identity()
-                                : GraphFingerprint(*graph_);
+    // One content hash per epoch (and one per update), so every request
+    // can stamp/validate plans without rehashing the graph.
+    plan_fp_ = PlanFingerprint(*graph_);
     // Warm the prepared cache from the store before the workers exist:
     // the first repeated question after a restart hits memory, not disk.
     cfg_.plan_store->WarmLoad(*graph_, plan_fp_, cfg_.cache_capacity,
@@ -274,9 +257,7 @@ bool WhyqService::ApplyUpdate(const UpdateBatch& batch, UpdateResult* result) {
   uint64_t old_fp = 0;
   uint64_t new_fp = 0;
   if (cfg_.plan_store != nullptr) {
-    // The new epoch's content hash (an update never targets a frozen
-    // graph, so this is always a real fingerprint pass).
-    new_fp = GraphFingerprint(*next);
+    new_fp = PlanFingerprint(*next);
     MutexLock lock(graph_mu_);
     old_fp = plan_fp_;
   }
@@ -385,29 +366,16 @@ ServiceResponse WhyqService::Run(const ServiceRequest& req,
   resp.base_answers = answers;
 
   switch (req.kind) {
-    case RequestKind::kWhy: {
-      WhyQuestion w{req.entities};
-      if (req.algo == AlgoChoice::kExact) {
-        resp.answer = ExactWhy(g, q, answers, w, cfg);
-      } else if (req.algo == AlgoChoice::kIso) {
-        resp.answer = IsoWhy(g, q, answers, w, cfg);
-      } else {
-        resp.answer = ApproxWhy(g, q, answers, w, cfg);
-      }
+    case RequestKind::kWhy:
+      resp.answer =
+          AnswerWhy(g, q, answers, WhyQuestion{req.entities}, req.algo, cfg);
       resp.truncated = !resp.answer.exhaustive;
       break;
-    }
     case RequestKind::kWhyNot: {
       WhyNotQuestion w;
       w.missing = req.entities;
       w.condition = req.condition;
-      if (req.algo == AlgoChoice::kExact) {
-        resp.answer = ExactWhyNot(g, q, answers, w, cfg);
-      } else if (req.algo == AlgoChoice::kIso) {
-        resp.answer = IsoWhyNot(g, q, answers, w, cfg);
-      } else {
-        resp.answer = FastWhyNot(g, q, answers, w, cfg);
-      }
+      resp.answer = AnswerWhyNot(g, q, answers, w, req.algo, cfg);
       resp.truncated = !resp.answer.exhaustive;
       break;
     }

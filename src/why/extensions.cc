@@ -13,6 +13,7 @@
 #include "why/exact_search.h"
 #include "why/mbs.h"
 #include "why/picky.h"
+#include "why/whynot_algorithms.h"
 
 namespace whyq {
 
@@ -137,7 +138,60 @@ void MultiOutputPicky(
   }
 }
 
+// One row per AlgoChoice (indexed by its value): its own name, then the
+// paper's name and the entry point of the algorithm it selects in each
+// direction.
+struct AlgorithmRow {
+  const char* choice_name;
+  const char* why_name;
+  RewriteAnswer (*why)(const Graph&, const Query&, const std::vector<NodeId>&,
+                       const WhyQuestion&, const AnswerConfig&);
+  const char* whynot_name;
+  RewriteAnswer (*whynot)(const Graph&, const Query&,
+                          const std::vector<NodeId>&, const WhyNotQuestion&,
+                          const AnswerConfig&);
+};
+
+const AlgorithmRow& RowOf(AlgoChoice a) {
+  static const AlgorithmRow kRows[] = {
+      {"auto", "ApproxWhy", ApproxWhy, "FastWhyNot", FastWhyNot},
+      {"exact", "ExactWhy", ExactWhy, "ExactWhyNot", ExactWhyNot},
+      {"iso", "IsoWhy", IsoWhy, "IsoWhyNot", IsoWhyNot},
+  };
+  return kRows[static_cast<size_t>(a)];
+}
+
 }  // namespace
+
+const char* AlgoChoiceName(AlgoChoice a) { return RowOf(a).choice_name; }
+
+std::optional<AlgoChoice> ParseAlgoChoice(const std::string& name) {
+  if (name == "approx" || name == "fast") return AlgoChoice::kAuto;
+  for (AlgoChoice a :
+       {AlgoChoice::kAuto, AlgoChoice::kExact, AlgoChoice::kIso}) {
+    if (name == AlgoChoiceName(a)) return a;
+  }
+  return std::nullopt;
+}
+
+const char* AlgorithmName(Direction dir, AlgoChoice algo) {
+  const AlgorithmRow& row = RowOf(algo);
+  return dir == Direction::kWhy ? row.why_name : row.whynot_name;
+}
+
+RewriteAnswer AnswerWhy(const Graph& g, const Query& q,
+                        const std::vector<NodeId>& answers,
+                        const WhyQuestion& w, AlgoChoice algo,
+                        const AnswerConfig& cfg) {
+  return RowOf(algo).why(g, q, answers, w, cfg);
+}
+
+RewriteAnswer AnswerWhyNot(const Graph& g, const Query& q,
+                           const std::vector<NodeId>& answers,
+                           const WhyNotQuestion& w, AlgoChoice algo,
+                           const AnswerConfig& cfg) {
+  return RowOf(algo).whynot(g, q, answers, w, cfg);
+}
 
 WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
                               const AnswerConfig& cfg) {

@@ -1,6 +1,8 @@
 #ifndef WHYQ_WHY_EXTENSIONS_H_
 #define WHYQ_WHY_EXTENSIONS_H_
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "graph/graph.h"
@@ -10,6 +12,39 @@
 #include "why/why_algorithms.h"
 
 namespace whyq {
+
+/// Algorithm family per direction: kAuto picks the paper's fast variant
+/// (ApproxWhy / FastWhyNot); kExact the MBS enumeration; kIso the
+/// isomorphism-verified greedy baseline. Why-empty/Why-so-many have one
+/// implementation each and ignore the choice.
+enum class AlgoChoice { kAuto, kExact, kIso };
+
+const char* AlgoChoiceName(AlgoChoice a);
+
+/// The choice a front end's algorithm name selects: AlgoChoiceName's
+/// auto|exact|iso, plus the paper's "approx" (Why) and "fast" (Why-not)
+/// as names of kAuto. nullopt for any other name.
+std::optional<AlgoChoice> ParseAlgoChoice(const std::string& name);
+
+/// The two directions the six algorithms answer.
+enum class Direction { kWhy, kWhyNot };
+
+/// The paper's name of the algorithm `algo` selects for `dir`: ExactWhy,
+/// ApproxWhy, IsoWhy, ExactWhyNot, FastWhyNot or IsoWhyNot.
+const char* AlgorithmName(Direction dir, AlgoChoice algo);
+
+/// Answers a Why (AnswerWhy) or Why-not (AnswerWhyNot) question with the
+/// algorithm `algo` selects for that direction. This is the one
+/// (direction x algorithm) dispatch: the service (and through it the CLI
+/// and the daemon) and the experiment harness all call these.
+RewriteAnswer AnswerWhy(const Graph& g, const Query& q,
+                        const std::vector<NodeId>& answers,
+                        const WhyQuestion& w, AlgoChoice algo,
+                        const AnswerConfig& cfg);
+RewriteAnswer AnswerWhyNot(const Graph& g, const Query& q,
+                           const std::vector<NodeId>& answers,
+                           const WhyNotQuestion& w, AlgoChoice algo,
+                           const AnswerConfig& cfg);
 
 /// Why-empty (Section V "Extensions"): a Why-not question with no V_C — the
 /// user only wants *some* answer. Returns a relaxation rewrite within

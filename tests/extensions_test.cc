@@ -140,6 +140,17 @@ TEST(WhySoManySemanticsTest, AfterCountsUnderSimulation) {
       << "the fixture no longer tells the semantics apart";
 }
 
+TEST(AlgoChoiceTest, NamesParseBackAndPaperAliasesSelectAuto) {
+  for (AlgoChoice a :
+       {AlgoChoice::kAuto, AlgoChoice::kExact, AlgoChoice::kIso}) {
+    EXPECT_EQ(ParseAlgoChoice(AlgoChoiceName(a)), a);
+  }
+  EXPECT_EQ(ParseAlgoChoice("approx"), AlgoChoice::kAuto);
+  EXPECT_EQ(ParseAlgoChoice("fast"), AlgoChoice::kAuto);
+  EXPECT_EQ(ParseAlgoChoice("magic"), std::nullopt);
+  EXPECT_EQ(ParseAlgoChoice(""), std::nullopt);
+}
+
 TEST_F(ExtensionsTest, MultiOutputWhyPoolsCloseness) {
   // Outputs: Cellphone and Color. Unexpected: {A5} for the phone output,
   // nothing for the color output.

@@ -50,8 +50,10 @@ TEST_F(HarnessTest, RunBatchesAndSummarize) {
   acfg.guard_m = 2;
   acfg.max_mbs = 2000;
 
-  std::vector<RunResult> exact = RunWhyBatch(g_, w, WhyAlgo::kExact, acfg);
-  std::vector<RunResult> approx = RunWhyBatch(g_, w, WhyAlgo::kApprox, acfg);
+  std::vector<RunResult> exact =
+      RunBatch(g_, w, Direction::kWhy, AlgoChoice::kExact, acfg);
+  std::vector<RunResult> approx =
+      RunBatch(g_, w, Direction::kWhy, AlgoChoice::kAuto, acfg);
   ASSERT_EQ(exact.size(), w.items.size());
   ASSERT_EQ(approx.size(), w.items.size());
   for (const RunResult& r : exact) {
@@ -64,7 +66,8 @@ TEST_F(HarnessTest, RunBatchesAndSummarize) {
   EXPECT_GE(agg.avg_closeness, 0.0);
   EXPECT_LE(agg.avg_closeness, 1.0);
 
-  std::vector<RunResult> fast = RunWhyNotBatch(g_, w, WhyNotAlgo::kFast, acfg);
+  std::vector<RunResult> fast =
+      RunBatch(g_, w, Direction::kWhyNot, AlgoChoice::kAuto, acfg);
   EXPECT_EQ(fast.size(), w.items.size());
 }
 
@@ -75,12 +78,17 @@ TEST_F(HarnessTest, SummarizeEmpty) {
 }
 
 TEST_F(HarnessTest, AlgoNames) {
-  EXPECT_STREQ(WhyAlgoName(WhyAlgo::kExact), "ExactWhy");
-  EXPECT_STREQ(WhyAlgoName(WhyAlgo::kApprox), "ApproxWhy");
-  EXPECT_STREQ(WhyAlgoName(WhyAlgo::kIso), "IsoWhy");
-  EXPECT_STREQ(WhyNotAlgoName(WhyNotAlgo::kExact), "ExactWhyNot");
-  EXPECT_STREQ(WhyNotAlgoName(WhyNotAlgo::kFast), "FastWhyNot");
-  EXPECT_STREQ(WhyNotAlgoName(WhyNotAlgo::kIso), "IsoWhyNot");
+  EXPECT_STREQ(AlgorithmName(Direction::kWhy, AlgoChoice::kExact),
+               "ExactWhy");
+  EXPECT_STREQ(AlgorithmName(Direction::kWhy, AlgoChoice::kAuto),
+               "ApproxWhy");
+  EXPECT_STREQ(AlgorithmName(Direction::kWhy, AlgoChoice::kIso), "IsoWhy");
+  EXPECT_STREQ(AlgorithmName(Direction::kWhyNot, AlgoChoice::kExact),
+               "ExactWhyNot");
+  EXPECT_STREQ(AlgorithmName(Direction::kWhyNot, AlgoChoice::kAuto),
+               "FastWhyNot");
+  EXPECT_STREQ(AlgorithmName(Direction::kWhyNot, AlgoChoice::kIso),
+               "IsoWhyNot");
 }
 
 }  // namespace

@@ -316,7 +316,8 @@ void CheckOutputChannel(const std::string& path, const std::string& stripped,
 }
 
 // ---------------------------------------------------------------------------
-// Rules: server-limits, snapshot-limits (shared decimal-literal scanner)
+// Rules: server-limits, snapshot-limits, plan-limits (one table, one
+// decimal-literal scanner)
 // ---------------------------------------------------------------------------
 
 /// Decimal integer literals at or above this value are presumed to be
@@ -387,22 +388,31 @@ void CheckLimitLiterals(const std::string& path, const std::string& stripped,
   }
 }
 
-const char kServerLimitsWhere[] =
-    "in src/server/ outside limits.h — every hard limit of the daemon "
-    "lives in src/server/limits.h with a provenance comment (hex "
-    "bit-mask literals are exempt)";
+/// The pigeonhole table: files under `prefix` other than `header` may not
+/// hold a limit literal; `where` completes each violation's message.
+struct LimitsRule {
+  const char* prefix;
+  const char* header;
+  const char* rule;
+  const char* where;
+};
 
-const char kSnapshotLimitsWhere[] =
-    "in the snapshot layer outside snapshot.h — every constant of the "
-    "on-disk format (alignment, section count, hash parameters) lives "
-    "in src/graph/snapshot.h, the header docs/SNAPSHOT_FORMAT.md is "
-    "checked against (hex bit-mask literals are exempt)";
-
-const char kPlanLimitsWhere[] =
-    "in the plan layer outside plan.h — every constant of the on-disk "
-    "compiled-plan format (alignment, section count, size caps, store "
-    "budget) lives in src/service/plan.h, the header docs/PLAN_FORMAT.md "
-    "is checked against (hex bit-mask literals are exempt)";
+constexpr LimitsRule kLimitsRules[] = {
+    {"src/server/", "src/server/limits.h", "server-limits",
+     "in src/server/ outside limits.h — every hard limit of the daemon "
+     "lives in src/server/limits.h with a provenance comment (hex "
+     "bit-mask literals are exempt)"},
+    {"src/graph/snapshot.", "src/graph/snapshot.h", "snapshot-limits",
+     "in the snapshot layer outside snapshot.h — every constant of the "
+     "on-disk format (alignment, section count, hash parameters) lives "
+     "in src/graph/snapshot.h, the header docs/SNAPSHOT_FORMAT.md is "
+     "checked against (hex bit-mask literals are exempt)"},
+    {"src/service/plan.", "src/service/plan.h", "plan-limits",
+     "in the plan layer outside plan.h — every constant of the on-disk "
+     "compiled-plan format (alignment, section count, size caps, store "
+     "budget) lives in src/service/plan.h, the header docs/PLAN_FORMAT.md "
+     "is checked against (hex bit-mask literals are exempt)"},
+};
 
 // ---------------------------------------------------------------------------
 // Rule: graph-mutation
@@ -1169,17 +1179,10 @@ std::vector<Violation> LintFile(const std::string& path,
   if (in_src && !graph_core) {
     CheckGraphMutation(path, stripped, &out);
   }
-  if (StartsWith(path, "src/server/") && path != "src/server/limits.h") {
-    CheckLimitLiterals(path, stripped, "server-limits", kServerLimitsWhere,
-                       &out);
-  }
-  if (StartsWith(path, "src/graph/snapshot.") &&
-      path != "src/graph/snapshot.h") {
-    CheckLimitLiterals(path, stripped, "snapshot-limits",
-                       kSnapshotLimitsWhere, &out);
-  }
-  if (StartsWith(path, "src/service/plan.") && path != "src/service/plan.h") {
-    CheckLimitLiterals(path, stripped, "plan-limits", kPlanLimitsWhere, &out);
+  for (const LimitsRule& r : kLimitsRules) {
+    if (StartsWith(path, r.prefix) && path != r.header) {
+      CheckLimitLiterals(path, stripped, r.rule, r.where, &out);
+    }
   }
   if (is_header && (in_src || StartsWith(path, "tools/"))) {
     CheckHeaderGuard(path, stripped, &out);

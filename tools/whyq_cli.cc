@@ -43,12 +43,17 @@
 // per-class latency histograms with p50/p95/p99, per-stage time totals,
 // slow-query log) as JSON; --slow-ms=D retains traces of requests slower
 // than D ms in the stats block and the JSON.
+// why/whynot/whyempty/whysomany ask one question through the same
+// WhyqService path as serve-batch (WhyqService::Execute on the calling
+// thread), so they take the same answers, trace counters, --deadline-ms,
+// --cache and --plan-store.
 // --plan-store=DIR persists compiled query plans (docs/PLAN_FORMAT.md)
-// across processes: why/whynot/whyempty/whysomany and serve-batch probe
-// DIR before preparing a query and persist completed builds, so a restarted
-// process answers a repeated question from a validated store load instead
-// of re-running the answer match. serve gives each graph its own store
-// under DIR/<graph name> and warm-loads its prepared cache from it at boot.
+// across processes: every service warm-loads up to --cache plans from its
+// store at boot, probes the store before preparing a query and persists
+// completed builds, so a restarted process answers a repeated question
+// from a validated store load instead of re-running the answer match. The
+// one-shot questions and serve-batch use DIR itself; serve gives each
+// graph its own store under DIR/<graph name>.
 // explain-plan pretty-prints one stored plan file — content address, graph
 // stamp, answer/candidate/path counts, footprint, canonical query — and,
 // given a GRAPH (honoring --snapshot), re-validates the plan against it,
@@ -85,8 +90,10 @@
 //   whysomany QUERYFILE K
 //
 // Every subcommand exits nonzero on parse or I/O failure; `why`/`whynot`/
-// `whyempty`/`whysomany` additionally exit 2 when no rewrite was found
-// (a valid "no explanation within budget" outcome, not an error).
+// `whyempty`/`whysomany` exit 1 on a request the service rejects (an
+// entity id outside the graph, a query that does not parse) and 2 when no
+// rewrite was found (a valid "no explanation within budget" outcome, not
+// an error).
 
 #include <signal.h>
 
@@ -142,7 +149,7 @@ struct Options {
   double attrs = 0.0;
   size_t target = 10;
   std::vector<NodeId> entities;
-  std::string algo = "auto";
+  AlgoChoice algo = AlgoChoice::kAuto;
   double budget = 4.0;
   size_t guard = 2;
   MatchSemantics semantics = MatchSemantics::kIsomorphism;
@@ -255,12 +262,12 @@ bool ParseArgs(int argc, char** argv, Options* o, std::string* error) {
     } else if (const char* v = value_of("--threads")) {
       ok = ParseSize(v, &o->threads) && o->threads > 0;
     } else if (const char* v = value_of("--algo")) {
-      o->algo = v;
-      if (o->algo != "auto" && o->algo != "exact" && o->algo != "iso" &&
-          o->algo != "approx" && o->algo != "fast") {
+      std::optional<AlgoChoice> algo = ParseAlgoChoice(v);
+      if (!algo.has_value()) {
         *error = "unknown algo (use exact|approx|fast|iso)";
         return false;
       }
+      o->algo = *algo;
     } else if (const char* v = value_of("--semantics")) {
       if (std::string(v) == "sim") {
         o->semantics = MatchSemantics::kSimulation;
@@ -355,7 +362,7 @@ std::optional<LoadedGraph> LoadGraphAuto(const Options& o,
   return lg;
 }
 
-std::optional<Query> LoadQuery(const std::string& path, const Graph& g) {
+std::optional<std::string> ReadText(const std::string& path) {
   std::ifstream is(path);
   if (!is) {
     std::fprintf(stderr, "whyq: cannot open %s\n", path.c_str());
@@ -363,57 +370,60 @@ std::optional<Query> LoadQuery(const std::string& path, const Graph& g) {
   }
   std::stringstream buf;
   buf << is.rdbuf();
+  return buf.str();
+}
+
+std::optional<Query> LoadQuery(const std::string& path, const Graph& g) {
+  std::optional<std::string> text = ReadText(path);
+  if (!text.has_value()) return std::nullopt;
   std::string err;
-  std::optional<Query> q = ParseQuery(buf.str(), g, &err);
+  std::optional<Query> q = ParseQuery(*text, g, &err);
   if (!q.has_value()) std::fprintf(stderr, "whyq: %s\n", err.c_str());
   return q;
 }
 
-AnswerConfig MakeConfig(const Options& o) {
-  AnswerConfig cfg;
-  cfg.budget = o.budget;
-  cfg.guard_m = o.guard;
-  cfg.semantics = o.semantics;
-  cfg.exact_time_limit_ms = 30000;
-  cfg.threads = o.threads;
-  return cfg;
+// The one request builder every question front end of this tool shares
+// (the one-shot subcommands and serve-batch lines): query text, --algo,
+// answer config, deadline and --target. Callers add the entities.
+ServiceRequest MakeRequest(const Options& o, RequestKind kind,
+                           std::string query_text) {
+  ServiceRequest req;
+  req.kind = kind;
+  req.query_text = std::move(query_text);
+  req.config.budget = o.budget;
+  req.config.guard_m = o.guard;
+  req.config.semantics = o.semantics;
+  req.config.exact_time_limit_ms = 30000;
+  req.config.threads = o.threads;
+  req.deadline_ms = o.deadline_ms;
+  req.target_k = o.target;
+  req.algo = o.algo;
+  return req;
 }
 
-// The graph's plan-relocation fingerprint: frozen (snapshot-backed) graphs
-// already carry the content hash as identity(); heap graphs pay one
-// GraphFingerprint pass (same rule as WhyqService).
-uint64_t PlanFingerprint(const Graph& g) {
-  return g.frozen() ? g.identity() : GraphFingerprint(g);
+// The one ServiceConfig builder of serve, serve-batch and the one-shot
+// questions. The plan store is left to the caller: serve gives each graph
+// its own store under --plan-store, the others use the directory itself.
+ServiceConfig MakeServiceConfig(const Options& o) {
+  ServiceConfig sc;
+  sc.workers = o.workers;
+  sc.queue_capacity = o.queue;
+  sc.cache_capacity = o.cache;
+  sc.default_deadline_ms = o.deadline_ms;
+  sc.intra_threads = o.threads;
+  sc.slow_query_ms = o.slow_ms;
+  return sc;
 }
 
-// A one-shot question's prepared artifacts routed through --plan-store:
-// probe the store, build and persist on a miss. The store handle is kept
-// alive until the command returns so the async save drains (its destructor
-// flushes the writer queue).
-struct StorePrepared {
-  std::shared_ptr<PlanStore> store;
-  std::shared_ptr<const PreparedQuery> prepared;
-};
-
-std::optional<StorePrepared> PrepareViaStore(const Options& o, const Graph& g,
-                                             const Query& q,
-                                             size_t max_paths) {
-  if (o.plan_store.empty()) return std::nullopt;
-  StorePrepared sp;
-  sp.store = std::make_shared<PlanStore>(o.plan_store);
-  uint64_t fp = PlanFingerprint(g);
-  std::string canonical = WriteQuery(q, g);
-  sp.prepared = sp.store->TryLoad(g, fp, o.semantics, max_paths, canonical);
-  if (sp.prepared == nullptr) {
-    bool complete = false;
-    sp.prepared = PrepareQuery(g, Query(q), o.semantics, max_paths,
-                               /*cancel=*/nullptr, &complete, o.threads);
-    if (complete) {
-      sp.store->SaveAsync(sp.prepared, std::move(canonical), max_paths,
-                          PlanStamp{fp, g.identity(), g.generation()});
-    }
+// A service over one graph with --plan-store (if any) as its store: the
+// pool serve-batch submits to, and the inline Execute of a one-shot
+// question. A configured store warm-loads up to --cache plans at boot.
+std::unique_ptr<WhyqService> MakeService(const Options& o, LoadedGraph* lg) {
+  ServiceConfig sc = MakeServiceConfig(o);
+  if (!o.plan_store.empty()) {
+    sc.plan_store = std::make_shared<PlanStore>(o.plan_store);
   }
-  return sp;
+  return std::make_unique<WhyqService>(lg->share(), sc);
 }
 
 void PrintAnswer(const Graph& g, const Query& q, const RewriteAnswer& a) {
@@ -514,137 +524,65 @@ int CmdQuery(const Options& o) {
   return 0;
 }
 
-int CmdWhy(const Options& o, bool why_not) {
+// why/whynot/whyempty/whysomany: one question down the path serve-batch
+// takes (WhyqService::Execute, on this thread), printed in the one-shot
+// text form. Exit 1 on a bad request, 2 when no rewrite was found.
+int CmdQuestion(const Options& o, RequestKind kind) {
   if (o.positional.size() < 2) return Fail("needs GRAPH QUERYFILE");
-  if (o.entities.empty()) return Fail("needs --entities=ID,ID,...");
+  bool names_entities =
+      kind == RequestKind::kWhy || kind == RequestKind::kWhyNot;
+  if (names_entities && o.entities.empty()) {
+    return Fail("needs --entities=ID,ID,...");
+  }
   std::optional<LoadedGraph> lg = LoadGraphAuto(o, o.positional[0]);
   if (!lg.has_value()) return 1;
-  const Graph& g = lg->get();
-  RequestTrace trace;
-  Timer stage;
-  std::optional<Query> q = LoadQuery(o.positional[1], g);
-  if (!q.has_value()) return 1;
-  trace.parse_ms = stage.ElapsedMillis();
-  stage.Reset();
-  AnswerConfig cfg = MakeConfig(o);
-  std::optional<StorePrepared> sp =
-      PrepareViaStore(o, g, *q, cfg.path_index_paths);
-  std::vector<NodeId> answers;
-  if (sp.has_value()) {
-    // Store-routed prepare: the answers and the sampled PathIndex come from
-    // the (loaded or freshly persisted) plan. Answers are byte-identical to
-    // the direct path — a fresh deterministic sample equals the stored one.
-    answers = sp->prepared->answers;
-    cfg.path_index = &sp->prepared->path_index;
-  } else {
-    std::unique_ptr<MatchEngine> engine = MakeMatchEngine(g, o.semantics);
-    answers = engine->MatchOutput(*q);
-  }
-  trace.answer_match_ms = stage.ElapsedMillis();
-  trace.prepare_ms = trace.answer_match_ms;
-  stage.Reset();
-  RewriteAnswer a;
-  if (why_not) {
-    WhyNotQuestion w;
-    w.missing = o.entities;
-    if (o.algo == "exact") {
-      a = ExactWhyNot(g, *q, answers, w, cfg);
-    } else if (o.algo == "iso") {
-      a = IsoWhyNot(g, *q, answers, w, cfg);
-    } else {
-      a = FastWhyNot(g, *q, answers, w, cfg);
+  std::optional<std::string> text = ReadText(o.positional[1]);
+  if (!text.has_value()) return 1;
+  ServiceRequest req = MakeRequest(o, kind, *text);
+  if (names_entities) req.entities = o.entities;
+  ServiceResponse resp = MakeService(o, &*lg)->Execute(req);
+  if (resp.status != ResponseStatus::kOk) return Fail(resp.error);
+  // The explanation names the operators against the question's own query;
+  // the service already parsed this text against this epoch.
+  const Graph& g = *resp.graph;
+  std::string err;
+  std::optional<Query> q = ParseQuery(*text, g, &err);
+  if (!q.has_value()) return Fail(err);
+  bool found = false;
+  switch (kind) {
+    case RequestKind::kWhy:
+    case RequestKind::kWhyNot:
+      PrintAnswer(g, *q, resp.answer);
+      found = resp.answer.found;
+      break;
+    case RequestKind::kWhyEmpty: {
+      const WhyEmptyResult& r = resp.why_empty;
+      found = r.found;
+      if (!found) {
+        std::printf("not repairable within budget %.1f\n", o.budget);
+        break;
+      }
+      if (r.ops.empty()) {
+        std::printf("the query already has answers\n");
+      } else {
+        std::printf("repaired at cost %.2f via { %s }\n", r.cost,
+                    DescribeOperators(r.ops, g).c_str());
+        std::printf("%s", ExplainRewrite(g, *q, r.ops).ToString().c_str());
+      }
+      std::printf("%zu sample answers\n", r.sample_answers.size());
+      break;
     }
-  } else {
-    WhyQuestion w{o.entities};
-    if (o.algo == "exact") {
-      a = ExactWhy(g, *q, answers, w, cfg);
-    } else if (o.algo == "iso") {
-      a = IsoWhy(g, *q, answers, w, cfg);
-    } else {
-      a = ApproxWhy(g, *q, answers, w, cfg);
+    case RequestKind::kWhySoMany: {
+      const WhySoManyResult& r = resp.why_so_many;
+      found = r.found;
+      std::printf("%zu -> %zu answers via { %s }\n", r.before, r.after,
+                  DescribeOperators(r.ops, g).c_str());
+      std::printf("%s", ExplainRewrite(g, *q, r.ops).ToString().c_str());
+      break;
     }
   }
-  trace.search_ms = stage.ElapsedMillis();
-  if (o.algo == "exact") {
-    trace.mbs_enumerated = a.sets_enumerated;
-    trace.mbs_verified = a.sets_verified;
-    trace.guard_checks = a.guard_checks;
-  } else {
-    trace.greedy_rounds = a.sets_verified;
-  }
-  trace.ctx_hits = a.ctx_hits;
-  trace.ctx_misses = a.ctx_misses;
-  trace.ctx_delta_builds = a.ctx_delta_builds;
-  trace.ctx_pruned = a.ctx_pruned;
-  PrintAnswer(g, *q, a);
-  if (o.trace) std::printf("%s", trace.ToString().c_str());
-  return a.found ? 0 : 2;
-}
-
-int CmdWhyEmpty(const Options& o) {
-  if (o.positional.size() < 2) return Fail("needs GRAPH QUERYFILE");
-  std::optional<LoadedGraph> lg = LoadGraphAuto(o, o.positional[0]);
-  if (!lg.has_value()) return 1;
-  const Graph& g = lg->get();
-  RequestTrace trace;
-  Timer stage;
-  std::optional<Query> q = LoadQuery(o.positional[1], g);
-  if (!q.has_value()) return 1;
-  trace.parse_ms = stage.ElapsedMillis();
-  stage.Reset();
-  AnswerConfig cfg = MakeConfig(o);
-  std::optional<StorePrepared> sp =
-      PrepareViaStore(o, g, *q, cfg.path_index_paths);
-  if (sp.has_value()) cfg.path_index = &sp->prepared->path_index;
-  WhyEmptyResult r = AnswerWhyEmpty(g, *q, cfg);
-  trace.search_ms = stage.ElapsedMillis();
-  if (o.trace) std::printf("%s", trace.ToString().c_str());
-  if (!r.found) {
-    std::printf("not repairable within budget %.1f\n", o.budget);
-    return 2;
-  }
-  if (r.ops.empty()) {
-    std::printf("the query already has answers\n");
-  } else {
-    std::printf("repaired at cost %.2f via { %s }\n", r.cost,
-                DescribeOperators(r.ops, g).c_str());
-    std::printf("%s", ExplainRewrite(g, *q, r.ops).ToString().c_str());
-  }
-  std::printf("%zu sample answers\n", r.sample_answers.size());
-  return 0;
-}
-
-int CmdWhySoMany(const Options& o) {
-  if (o.positional.size() < 2) return Fail("needs GRAPH QUERYFILE");
-  std::optional<LoadedGraph> lg = LoadGraphAuto(o, o.positional[0]);
-  if (!lg.has_value()) return 1;
-  const Graph& g = lg->get();
-  RequestTrace trace;
-  Timer stage;
-  std::optional<Query> q = LoadQuery(o.positional[1], g);
-  if (!q.has_value()) return 1;
-  trace.parse_ms = stage.ElapsedMillis();
-  stage.Reset();
-  AnswerConfig cfg = MakeConfig(o);
-  std::optional<StorePrepared> sp =
-      PrepareViaStore(o, g, *q, cfg.path_index_paths);
-  std::vector<NodeId> answers;
-  if (sp.has_value()) {
-    answers = sp->prepared->answers;
-    cfg.path_index = &sp->prepared->path_index;
-  } else {
-    answers = MakeMatchEngine(g, o.semantics)->MatchOutput(*q);
-  }
-  trace.answer_match_ms = stage.ElapsedMillis();
-  trace.prepare_ms = trace.answer_match_ms;
-  stage.Reset();
-  WhySoManyResult r = AnswerWhySoMany(g, *q, answers, o.target, cfg);
-  trace.search_ms = stage.ElapsedMillis();
-  std::printf("%zu -> %zu answers via { %s }\n", r.before, r.after,
-              DescribeOperators(r.ops, g).c_str());
-  std::printf("%s", ExplainRewrite(g, *q, r.ops).ToString().c_str());
-  if (o.trace) std::printf("%s", trace.ToString().c_str());
-  return r.found ? 0 : 2;
+  if (o.trace) std::printf("%s", resp.trace.ToString().c_str());
+  return found ? 0 : 2;
 }
 
 // Reads the raw text of a query file, memoizing by path so a batch that
@@ -654,14 +592,9 @@ const std::string* QueryTextOf(const std::string& path,
                                std::map<std::string, std::string>* texts) {
   auto it = texts->find(path);
   if (it != texts->end()) return &it->second;
-  std::ifstream is(path);
-  if (!is) {
-    std::fprintf(stderr, "whyq: cannot open %s\n", path.c_str());
-    return nullptr;
-  }
-  std::stringstream buf;
-  buf << is.rdbuf();
-  return &texts->emplace(path, buf.str()).first->second;
+  std::optional<std::string> text = ReadText(path);
+  if (!text.has_value()) return nullptr;
+  return &texts->emplace(path, std::move(*text)).first->second;
 }
 
 // Parses one questions-file line into a request; empty lines and `#`
@@ -683,36 +616,24 @@ bool ParseQuestionLine(const std::string& line, const Options& o,
     *error = "cannot open " + queryfile;
     return false;
   }
-  req->query_text = *text;
-  req->config = MakeConfig(o);
-  req->deadline_ms = o.deadline_ms;
-  if (o.algo == "exact") {
-    req->algo = AlgoChoice::kExact;
-  } else if (o.algo == "iso") {
-    req->algo = AlgoChoice::kIso;
-  } else {
-    req->algo = AlgoChoice::kAuto;
-  }
   std::string rest;
   ss >> rest;
   if (kind == "why" || kind == "whynot") {
-    req->kind = kind == "why" ? RequestKind::kWhy : RequestKind::kWhyNot;
+    *req = MakeRequest(o, kind == "why" ? RequestKind::kWhy
+                                        : RequestKind::kWhyNot, *text);
     if (rest.empty()) {
       *error = "missing entity list";
       return false;
     }
-    req->entities.clear();
     if (!ParseEntityList(rest, &req->entities, error)) return false;
   } else if (kind == "whyempty") {
-    req->kind = RequestKind::kWhyEmpty;
+    *req = MakeRequest(o, RequestKind::kWhyEmpty, *text);
   } else if (kind == "whysomany") {
-    req->kind = RequestKind::kWhySoMany;
-    size_t k = o.target;
-    if (!rest.empty() && !ParseSize(rest.c_str(), &k)) {
+    *req = MakeRequest(o, RequestKind::kWhySoMany, *text);
+    if (!rest.empty() && !ParseSize(rest.c_str(), &req->target_k)) {
       *error = "bad target '" + rest + "'";
       return false;
     }
-    req->target_k = k;
   } else {
     *error = "unknown question kind '" + kind + "'";
     return false;
@@ -736,18 +657,7 @@ int CmdServeBatch(const Options& o) {
   if (!qs) return Fail("cannot open " + o.positional[1]);
 
   InstallStopHandlers();
-  ServiceConfig sc;
-  sc.workers = o.workers;
-  sc.queue_capacity = o.queue;
-  sc.cache_capacity = o.cache;
-  sc.intra_threads = o.threads;
-  sc.slow_query_ms = o.slow_ms;
-  std::shared_ptr<PlanStore> store;
-  if (!o.plan_store.empty()) {
-    store = std::make_shared<PlanStore>(o.plan_store);
-    sc.plan_store = store;
-  }
-  WhyqService service(lg->share(), sc);
+  std::unique_ptr<WhyqService> service = MakeService(o, &*lg);
 
   std::map<std::string, std::string> texts;
   std::vector<std::future<ServiceResponse>> futures;
@@ -776,7 +686,7 @@ int CmdServeBatch(const Options& o) {
     bool accepted = false;
     while (!accepted && g_stop == 0) {
       auto promise = std::make_shared<std::promise<ServiceResponse>>();
-      SubmitResult admitted = service.TrySubmit(
+      SubmitResult admitted = service->TrySubmit(
           req, [promise](ServiceResponse resp) {
             promise->set_value(std::move(resp));
           });
@@ -802,7 +712,7 @@ int CmdServeBatch(const Options& o) {
   }
   // Pin one epoch for rendering every response's explanation (serve-batch
   // never updates the graph, so this is the only epoch there is).
-  std::shared_ptr<const Graph> pinned = service.graph();
+  std::shared_ptr<const Graph> pinned = service->graph();
   const Graph& graph = *pinned;
   for (size_t i = 0; i < futures.size(); ++i) {
     ServiceResponse r = futures[i].get();
@@ -830,8 +740,8 @@ int CmdServeBatch(const Options& o) {
   }
   // Drain pending plan persists before snapshotting, so the printed stats
   // (and the JSON scripts reconcile) include every durable write.
-  if (store != nullptr) store->Flush();
-  StatsSnapshot snap = service.Stats();
+  if (PlanStore* store = service->config().plan_store.get()) store->Flush();
+  StatsSnapshot snap = service->Stats();
   std::printf("\n%s\n", snap.ToString().c_str());
   if (!o.stats_json.empty()) {
     std::ofstream js(o.stats_json);
@@ -878,12 +788,7 @@ int CmdServe(const Options& o) {
   sc.drain_deadline_ms = o.drain_ms;
   sc.stats_json_path = o.stats_json;
   sc.stats_period_ms = o.stats_period_ms;
-  sc.service.workers = o.workers;
-  sc.service.queue_capacity = o.queue;
-  sc.service.cache_capacity = o.cache;
-  sc.service.default_deadline_ms = o.deadline_ms;
-  sc.service.intra_threads = o.threads;
-  sc.service.slow_query_ms = o.slow_ms;
+  sc.service = MakeServiceConfig(o);
   sc.plan_store_dir = o.plan_store;
   server::WhyqServer srv(std::move(graphs), sc);
   std::string err;
@@ -1161,10 +1066,10 @@ int Main(int argc, char** argv) {
   if (cmd == "dot") return CmdDot(o);
   if (cmd == "stats") return CmdStats(o);
   if (cmd == "query") return CmdQuery(o);
-  if (cmd == "why") return CmdWhy(o, /*why_not=*/false);
-  if (cmd == "whynot") return CmdWhy(o, /*why_not=*/true);
-  if (cmd == "whyempty") return CmdWhyEmpty(o);
-  if (cmd == "whysomany") return CmdWhySoMany(o);
+  if (cmd == "why") return CmdQuestion(o, RequestKind::kWhy);
+  if (cmd == "whynot") return CmdQuestion(o, RequestKind::kWhyNot);
+  if (cmd == "whyempty") return CmdQuestion(o, RequestKind::kWhyEmpty);
+  if (cmd == "whysomany") return CmdQuestion(o, RequestKind::kWhySoMany);
   if (cmd == "serve-batch") return CmdServeBatch(o);
   if (cmd == "serve") return CmdServe(o);
   if (cmd == "snapshot") return CmdSnapshot(o);
