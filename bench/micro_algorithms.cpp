@@ -144,13 +144,13 @@ BENCHMARK(BM_WhyNotAlgorithm<IsoWhyNot>)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Intra-question thread scaling (AnswerConfig::threads): the same question
-// at 1/2/4/8 executor slots. Answers are bit-identical across widths (see
-// why/exact_search.h), so the only thing these curves measure is wall
-// clock. Run on a BSBM e-commerce graph — the acceptance fixture for the
-// parallel MBS verification — sized so ExactWhy has a real enumeration to
-// chew on. NOTE: on a single-core container the curve is flat or slightly
-// regressive (oversubscription); see EXPERIMENTS.md for the recorded
-// numbers and the multi-core expectation.
+// at 1/2/4/8 executor slots. Threads apply to the greedy gain scans only
+// (the exact search is one serial DFS), so ApproxWhy and FastWhyNot are
+// the algorithms measured. Answers are bit-identical across widths, so
+// the only thing these curves measure is wall clock. Run on a BSBM
+// e-commerce graph. NOTE: on a single-core container the curve is flat or
+// slightly regressive (oversubscription); see EXPERIMENTS.md for the
+// recorded numbers and the multi-core expectation.
 
 const Fixture& BsbmFixture() {
   static Fixture* f = [] {
@@ -179,9 +179,7 @@ const Fixture& BsbmFixture() {
 }
 
 // Deterministic caps: no wall-clock limit (it would flatten every curve at
-// the limit) — the emission cap alone bounds the exact search, so each
-// width verifies the same candidate sets and time tracks the parallel
-// verification work.
+// the limit), so each width scores the same candidates.
 AnswerConfig ScalingConfig(int64_t threads) {
   AnswerConfig cfg = Config();
   cfg.exact_time_limit_ms = 0;
@@ -208,12 +206,6 @@ void BM_WhyThreadScaling(benchmark::State& state) {
   }
   state.counters["closeness"] = closeness;
 }
-BENCHMARK(BM_WhyThreadScaling<ExactWhy>)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WhyThreadScaling<ApproxWhy>)
     ->Arg(1)
     ->Arg(2)
@@ -239,12 +231,6 @@ void BM_WhyNotThreadScaling(benchmark::State& state) {
   }
   state.counters["closeness"] = closeness;
 }
-BENCHMARK(BM_WhyNotThreadScaling<ExactWhyNot>)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WhyNotThreadScaling<FastWhyNot>)
     ->Arg(1)
     ->Arg(2)

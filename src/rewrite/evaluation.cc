@@ -40,10 +40,13 @@ WhyEvaluator::WhyEvaluator(const Graph& g, std::vector<NodeId> answers,
 }
 
 EvalResult WhyEvaluator::Evaluate(const Query& rewritten) const {
+  return Evaluate(rewritten, Guard(rewritten));
+}
+
+EvalResult WhyEvaluator::Evaluate(const Query& rewritten,
+                                  size_t guard) const {
   EvalResult r;
-  // Guard first: collateral exclusions from the desired answers (one
-  // matching plan for the sweep, which stops at the (m+1)-th loss).
-  r.guard = engine_->CountNonAnswers(rewritten, desired_answers_, guard_m_);
+  r.guard = guard;
   if (r.guard > guard_m_) {
     r.guard_ok = false;
     return r;
@@ -58,9 +61,14 @@ EvalResult WhyEvaluator::Evaluate(const Query& rewritten) const {
   return r;
 }
 
+size_t WhyEvaluator::Guard(const Query& rewritten) const {
+  // Collateral exclusions from the desired answers: one matching plan for
+  // the sweep, which stops at the (m+1)-th loss.
+  return engine_->CountNonAnswers(rewritten, desired_answers_, guard_m_);
+}
+
 bool WhyEvaluator::GuardOk(const Query& rewritten) const {
-  return engine_->CountNonAnswers(rewritten, desired_answers_, guard_m_) <=
-         guard_m_;
+  return Guard(rewritten) <= guard_m_;
 }
 
 std::vector<NodeId> WhyEvaluator::AffectedAnswers(
@@ -99,8 +107,13 @@ WhyNotEvaluator::WhyNotEvaluator(const Graph& g,
 }
 
 EvalResult WhyNotEvaluator::Evaluate(const Query& rewritten) const {
+  return Evaluate(rewritten, Guard(rewritten));
+}
+
+EvalResult WhyNotEvaluator::Evaluate(const Query& rewritten,
+                                     size_t guard) const {
   EvalResult r;
-  r.guard = engine_->CountAnswersNotIn(rewritten, protected_set_, guard_m_);
+  r.guard = guard;
   if (r.guard > guard_m_) {
     r.guard_ok = false;
     return r;
@@ -114,9 +127,12 @@ EvalResult WhyNotEvaluator::Evaluate(const Query& rewritten) const {
   return r;
 }
 
+size_t WhyNotEvaluator::Guard(const Query& rewritten) const {
+  return engine_->CountAnswersNotIn(rewritten, protected_set_, guard_m_);
+}
+
 bool WhyNotEvaluator::GuardOk(const Query& rewritten) const {
-  return engine_->CountAnswersNotIn(rewritten, protected_set_, guard_m_) <=
-         guard_m_;
+  return Guard(rewritten) <= guard_m_;
 }
 
 std::vector<NodeId> WhyNotEvaluator::NewMatches(

@@ -37,12 +37,21 @@ class WhyEvaluator {
                MatchSemantics semantics = MatchSemantics::kIsomorphism,
                const CancelToken* cancel = nullptr);
 
-  /// cl(O) and guard of a refinement rewrite.
+  /// cl(O) and guard of a refinement rewrite: the guard sweep, then the
+  /// closeness sweep when the guard holds.
   EvalResult Evaluate(const Query& rewritten) const;
 
-  /// Guard-only check (early-terminating): does the rewrite exclude at most
-  /// m desired answers? Used as the admissibility predicate of the exact
-  /// guard-aware MBS enumeration.
+  /// Evaluate with the guard sweep already done: `guard` must be
+  /// Guard(rewritten). Runs only the closeness sweep over V_N; the result
+  /// equals Evaluate(rewritten).
+  EvalResult Evaluate(const Query& rewritten, size_t guard) const;
+
+  /// The guard sweep: desired answers the rewrite excludes, exact up to
+  /// m + 1 (the sweep stops at the (m+1)-th loss).
+  size_t Guard(const Query& rewritten) const;
+
+  /// Guard(rewritten) <= m: does the rewrite exclude at most m desired
+  /// answers?
   bool GuardOk(const Query& rewritten) const;
 
   /// Aff(·): original answers that are no longer matches under `rewritten`
@@ -89,9 +98,19 @@ class WhyNotEvaluator {
                   MatchSemantics semantics = MatchSemantics::kIsomorphism,
                   const CancelToken* cancel = nullptr);
 
+  /// cl(O) and guard of a relaxation rewrite: the guard sweep, then the
+  /// closeness sweep when the guard holds.
   EvalResult Evaluate(const Query& rewritten) const;
 
-  /// Guard-only check: at most m matches outside Q(u_o,G) ∪ V_C.
+  /// Evaluate with the guard sweep already done: `guard` must be
+  /// Guard(rewritten). Runs only the closeness sweep over V_C; the result
+  /// equals Evaluate(rewritten).
+  EvalResult Evaluate(const Query& rewritten, size_t guard) const;
+
+  /// The guard sweep: matches outside Q(u_o,G) ∪ V_C, exact up to m + 1.
+  size_t Guard(const Query& rewritten) const;
+
+  /// Guard(rewritten) <= m.
   bool GuardOk(const Query& rewritten) const;
 
   /// Missing entities (post-C) that become matches under `rewritten`.

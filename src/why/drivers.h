@@ -360,7 +360,7 @@ RewriteAnswer RunGreedy(const Graph& g, const Query& q,
 }
 
 // The exact driver (Fig. 3 / Section V-A): enumerates maximal bounded sets
-// over the budget-screened picky set (guard-admissible, possibly parallel;
+// over the budget-screened picky set (guard-admissible, one serial DFS;
 // see why/exact_search.h), falls back to the direction's estimating greedy
 // when enumeration was truncated, then minimizes the winner's cost
 // (cfg.minimize_cost).
@@ -391,20 +391,17 @@ RewriteAnswer RunExact(const Graph& g, const Query& q,
   // Admissibility: the guard is monotone under pure refinement (and pure
   // relaxation), so enumerating the maximal elements of {cost <= B,
   // conflict-free, guard <= m} is exact.
-  ExactSearchOutcome search = ExactMbsSearch<Evaluator>(
-      q, usable, costs, cfg, eval, [&] {
-        return std::make_unique<Evaluator>(g, answers, w, cfg.guard_m,
-                                           cfg.semantics, cfg.cancel);
-      });
+  ExactSearchOutcome search =
+      ExactMbsSearch<Evaluator>(q, usable, costs, cfg, eval);
   double best_cl = search.best_cl;
   double best_cost = search.best_cost;
   OperatorSet best_ops = std::move(search.best_ops);
   EvalResult best_eval = search.best_eval;
-  out.sets_enumerated = search.sets_enumerated;
+  out.sets_enumerated = search.stats.emitted;
   out.sets_verified = search.verified;
-  out.guard_checks = search.guard_checks;
+  out.guard_checks = search.stats.guard_checks;
   out.exhaustive = !search.stats.truncated && !search.timed_out;
-  MatchContext::Stats ctx_stats = search.ctx;  // slot evaluators' share
+  MatchContext::Stats ctx_stats;
 
   // Fallback when the capped enumeration missed a solution the greedy can
   // still reach: the greedy set is a valid bounded set, so adopting it

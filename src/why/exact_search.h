@@ -1,15 +1,14 @@
 #ifndef WHYQ_WHY_EXACT_SEARCH_H_
 #define WHYQ_WHY_EXACT_SEARCH_H_
 
+#include <algorithm>
 #include <concepts>
-#include <functional>
 #include <limits>
-#include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "matcher/match_context.h"
 #include "query/query.h"
@@ -22,15 +21,21 @@ namespace whyq {
 
 /// What the rewrite drivers call on an evaluator (P0782-style: exactly
 /// the members used, nothing more). Evaluators are single-thread state, so
-/// the drivers give every executor slot its own instance.
-///  - Evaluate: exact closeness and guard of a rewrite Q ⊕ O.
-///  - GuardOk: the guard alone; the admissibility predicate of the search.
+/// the greedy driver gives every executor slot its own instance.
+///  - Evaluate(q): exact closeness and guard of a rewrite Q ⊕ O.
+///  - Guard(q): the guard sweep alone, exact up to m + 1; the exact
+///    search's admissibility predicate is Guard(q) <= m.
+///  - Evaluate(q, guard): Evaluate(q) given guard == Guard(q); evaluators
+///    whose closeness sweep is separate from the guard sweep skip the
+///    latter.
 ///  - ContextStats: candidate-memo counters, folded into RewriteAnswer.
 ///  - context: the memo the path-index probes share (null when none).
 template <typename E>
-concept RewriteEvaluator = requires(const E& e, const Query& rewritten) {
+concept RewriteEvaluator = requires(const E& e, const Query& rewritten,
+                                    size_t guard) {
   { e.Evaluate(rewritten) } -> std::same_as<EvalResult>;
-  { e.GuardOk(rewritten) } -> std::same_as<bool>;
+  { e.Evaluate(rewritten, guard) } -> std::same_as<EvalResult>;
+  { e.Guard(rewritten) } -> std::same_as<size_t>;
   { e.ContextStats() } -> std::same_as<MatchContext::Stats>;
   { e.context() } -> std::same_as<MatchContext*>;
 };
@@ -42,7 +47,9 @@ namespace internal {
 
 /// Outcome of the exact MBS search shared by the exact Why, Why-not and
 /// multi-output algorithms: the best (closeness, cost)-lexicographic
-/// verified set plus the bookkeeping the callers surface in RewriteAnswer.
+/// verified set plus the bookkeeping the callers surface in RewriteAnswer
+/// (stats.emitted is RewriteAnswer::sets_enumerated, stats.guard_checks
+/// its guard_checks).
 struct ExactSearchOutcome {
   double best_cl = -1.0;
   double best_cost = std::numeric_limits<double>::infinity();
@@ -51,41 +58,27 @@ struct ExactSearchOutcome {
   size_t verified = 0;
   bool timed_out = false;
   MbsStats stats;
-  // Sets and guard checks the serial search made: stats.emitted and
-  // stats.guard_checks without the lookahead a parallel run spends
-  // enumerating past an early stop.
-  size_t sets_enumerated = 0;
-  size_t guard_checks = 0;
-  // Candidate-memo counters summed over the slot evaluators (they are
-  // destroyed inside the search; the caller adds its own evaluator's).
-  MatchContext::Stats ctx;
 };
 
 /// The exact search core (Fig. 3 / Section V-A): enumerate maximal bounded
-/// sets over the usable picky operators, verify each with the evaluator's
-/// exact Evaluate, keep the lexicographic best, early-terminate at
-/// closeness 1, and honor deadline/time-limit truncation. A set's cost is
-/// the sum of its `costs` entries in set order, the same additions
-/// CostModel::Cost(OperatorSet) makes.
+/// sets over the usable picky operators, verify each with the evaluator,
+/// keep the lexicographic best (higher closeness, then lower cost, then
+/// earlier emission), early-terminate at closeness 1, and honor
+/// deadline/time-limit truncation. A set's cost is the sum of its `costs`
+/// entries in set order, the same additions CostModel::Cost(OperatorSet)
+/// makes.
 ///
-/// Intra-question parallelism (cfg.threads > 1): emitted sets are verified
-/// in batches on ThreadPool::Shared() — each executor slot gets its own
-/// evaluator from `clone_evaluator` (MatchEngine state is not thread-safe)
-/// — and each batch is then *reduced in emission order* with the exact
-/// serial tie-break (higher closeness, then lower cost, then earlier
-/// emission). The selected set, its evaluation, and `verified` are
-/// therefore identical to the cfg.threads == 1 run; only wall-clock-
-/// dependent truncation (deadline / exact_time_limit_ms) can differ.
-///
-/// `eval` is the caller's evaluator; it serves executor slot 0 and the
-/// guard admissibility predicate (which runs on the enumeration thread,
-/// never concurrently with a batch).
+/// One serial DFS: every guard sweep runs once. The admissibility
+/// predicate keeps the guard count of each set it admits, keyed by the
+/// sorted index set, for the length of the search. Every non-empty emitted
+/// set was admitted, so its verification reuses that count and runs only
+/// the closeness sweep. cfg.threads does not apply here.
 template <RewriteEvaluator Evaluator>
-ExactSearchOutcome ExactMbsSearch(
-    const Query& q, const std::vector<EditOp>& usable,
-    const std::vector<double>& costs, const AnswerConfig& cfg,
-    const Evaluator& eval,
-    const std::function<std::unique_ptr<Evaluator>()>& clone_evaluator) {
+ExactSearchOutcome ExactMbsSearch(const Query& q,
+                                  const std::vector<EditOp>& usable,
+                                  const std::vector<double>& costs,
+                                  const AnswerConfig& cfg,
+                                  const Evaluator& eval) {
   constexpr double kEps = 1e-9;
   ExactSearchOutcome out;
   Timer exact_timer;
@@ -95,71 +88,55 @@ ExactSearchOutcome ExactMbsSearch(
             exact_timer.ElapsedMillis() > cfg.exact_time_limit_ms);
   };
 
-  const size_t width = ResolveParallelWidth(cfg.threads);
-  std::vector<std::unique_ptr<Evaluator>> slot_evals;  // slots 1..width-1
-  for (size_t s = 1; s < width; ++s) slot_evals.push_back(clone_evaluator());
-  auto eval_at = [&](size_t slot) -> const Evaluator& {
-    return slot == 0 ? eval : *slot_evals[slot - 1];
+  std::unordered_map<std::vector<size_t>, size_t, IndexSetHash> admitted;
+  std::vector<size_t> key;  // scratch: a sorted index set
+  auto sorted_key = [&](const std::vector<size_t>& set) {
+    key.assign(set.begin(), set.end());
+    std::sort(key.begin(), key.end());
   };
-  // Serial runs flush after every emission (the historical behavior:
-  // evaluate immediately, stop immediately at closeness 1); parallel runs
-  // trade a slightly deeper lookahead for load balance across the slots.
-  const size_t batch_size = width <= 1 ? 1 : width * 4;
-
   AdmitFn admit = [&](const std::vector<size_t>& cur, size_t next) {
     OperatorSet ops;
     ops.reserve(cur.size() + 1);
     for (size_t i : cur) ops.push_back(usable[i]);
     ops.push_back(usable[next]);
-    return eval.GuardOk(ApplyOperators(q, ops));
+    const size_t guard = eval.Guard(ApplyOperators(q, ops));
+    if (guard > cfg.guard_m) return false;
+    sorted_key(cur);
+    key.insert(std::upper_bound(key.begin(), key.end(), next), next);
+    admitted.emplace(key, guard);
+    return true;
   };
 
-  struct Item {
-    OperatorSet ops;
-    EvalResult r;
-  };
-  bool stopped_early = false;  // the reduction stopped inside a batch
-  out.stats = EnumerateMaximalBoundedSetsBatched(
-      costs, BuildConflicts(usable), cfg.budget, cfg.max_mbs, batch_size,
-      [&](const std::vector<std::vector<size_t>>& batch,
-          const std::vector<size_t>& guard_checks) {
-        std::vector<Item> items(batch.size());
-        ThreadPool::Shared().ParallelFor(
-            batch.size(), width, [&](size_t i, size_t slot) {
-              Item& it = items[i];
-              it.ops.reserve(batch[i].size());
-              for (size_t j : batch[i]) it.ops.push_back(usable[j]);
-              it.r = eval_at(slot).Evaluate(ApplyOperators(q, it.ops));
-            });
-        // Deterministic reduction in emission order; items past an early
-        // stop are discarded unseen, exactly as the serial enumeration
-        // would never have evaluated them.
-        for (size_t i = 0; i < items.size(); ++i) {
-          Item& it = items[i];
-          ++out.verified;
-          if (it.r.guard_ok) {
-            double c = 0.0;
-            for (size_t j : batch[i]) c += costs[j];
-            if (it.r.closeness > out.best_cl + kEps ||
-                (it.r.closeness > out.best_cl - kEps && c < out.best_cost)) {
-              out.best_cl = it.r.closeness;
-              out.best_cost = c;
-              out.best_ops = std::move(it.ops);
-              out.best_eval = it.r;
-            }
-          }
-          const bool late = past_deadline();
-          if (late) out.timed_out = true;
-          if (late || out.best_cl >= 1.0 - kEps) {
-            // Deadline or early termination: the serial search would stop
-            // right after emitting this set.
-            stopped_early = true;
-            out.sets_enumerated = out.verified;
-            out.guard_checks = guard_checks[i];
-            return false;
+  out.stats = EnumerateMaximalBoundedSets(
+      costs, BuildConflicts(usable), cfg.budget, cfg.max_mbs,
+      [&](const std::vector<size_t>& set) {
+        OperatorSet ops;
+        ops.reserve(set.size());
+        for (size_t j : set) ops.push_back(usable[j]);
+        const Query rewritten = ApplyOperators(q, ops);
+        // Only the empty set (nothing fits the budget) was never admitted.
+        sorted_key(set);
+        auto it = admitted.find(key);
+        const EvalResult r = it == admitted.end()
+                                 ? eval.Evaluate(rewritten)
+                                 : eval.Evaluate(rewritten, it->second);
+        ++out.verified;
+        if (r.guard_ok) {
+          double c = 0.0;
+          for (size_t j : set) c += costs[j];
+          if (r.closeness > out.best_cl + kEps ||
+              (r.closeness > out.best_cl - kEps && c < out.best_cost)) {
+            out.best_cl = r.closeness;
+            out.best_cost = c;
+            out.best_ops = std::move(ops);
+            out.best_eval = r;
           }
         }
-        return true;
+        if (past_deadline()) {
+          out.timed_out = true;
+          return false;
+        }
+        return out.best_cl < 1.0 - kEps;  // early termination at closeness 1
       },
       admit,
       [&]() {
@@ -169,13 +146,6 @@ ExactSearchOutcome ExactMbsSearch(
         }
         return false;
       });
-  // Exhaustion (or a cap) after the last emission: every set and check
-  // counts.
-  if (!stopped_early) {
-    out.sets_enumerated = out.stats.emitted;
-    out.guard_checks = out.stats.guard_checks;
-  }
-  for (const auto& se : slot_evals) out.ctx.Add(se->ContextStats());
   return out;
 }
 

@@ -81,8 +81,13 @@ class PooledWhyEvaluator {
     r.guard_ok = guard <= guard_m_;
     return r;
   }
-  bool GuardOk(const Query& rewritten) const {
-    return Evaluate(rewritten).guard_ok;
+  // One sweep per output settles both the guard and the closeness, so
+  // there is no separate guard sweep for Evaluate(q, guard) to skip.
+  size_t Guard(const Query& rewritten) const {
+    return Evaluate(rewritten).guard;
+  }
+  EvalResult Evaluate(const Query& rewritten, size_t /*guard*/) const {
+    return Evaluate(rewritten);
   }
   MatchContext::Stats ContextStats() const {
     MatchContext::Stats s;
@@ -407,14 +412,10 @@ RewriteAnswer ExactWhyMultiOutput(
   out.picky_count = usable.size();
 
   internal::ExactSearchOutcome search =
-      internal::ExactMbsSearch<PooledWhyEvaluator>(
-          q, usable, costs, cfg, eval, [&] {
-            return std::make_unique<PooledWhyEvaluator>(
-                g, q, answers_per_output, unexpected_per_output, cfg);
-          });
-  out.sets_enumerated = search.sets_enumerated;
+      internal::ExactMbsSearch(q, usable, costs, cfg, eval);
+  out.sets_enumerated = search.stats.emitted;
   out.sets_verified = search.verified;
-  out.guard_checks = search.guard_checks;
+  out.guard_checks = search.stats.guard_checks;
   out.exhaustive = !search.stats.truncated && !search.timed_out &&
                    !CancelRequested(cfg.cancel);
   if (search.best_cl <= 0.0 || search.best_ops.empty()) {
@@ -427,8 +428,7 @@ RewriteAnswer ExactWhyMultiOutput(
     out.cost = search.best_cost;
     out.estimated_closeness = out.eval.closeness;
   }
-  search.ctx.Add(eval.ContextStats());
-  internal::FillContextStats(out, search.ctx);
+  internal::FillContextStats(out, eval.ContextStats());
   return out;
 }
 

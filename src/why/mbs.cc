@@ -13,17 +13,7 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-// Receives each MBS together with MbsStats::guard_checks at its emission.
-using EmitFn =
-    std::function<bool(const std::vector<size_t>& set, size_t guard_checks)>;
-
-struct IndexSetHash {
-  size_t operator()(const std::vector<size_t>& s) const {
-    uint64_t h = 1469598103934665603ull;  // FNV-1a over the indices
-    for (size_t i : s) h = (h ^ i) * 1099511628211ull;
-    return static_cast<size_t>(h);
-  }
-};
+using VisitFn = std::function<bool(const std::vector<size_t>&)>;
 
 // Verdict of a singleton {j}, filled lazily.
 enum : uint8_t { kUnknown = 0, kAlive = 1, kDead = 2 };
@@ -32,7 +22,7 @@ struct Enumerator {
   Enumerator(const std::vector<double>& costs,
              const std::vector<std::vector<size_t>>& conflicts_in,
              const std::vector<size_t>& order_in, double budget_in,
-             size_t cap, const EmitFn& visit_in, const AdmitFn& admit_in,
+             size_t cap, const VisitFn& visit_in, const AdmitFn& admit_in,
              const std::function<bool()>& should_stop_in)
       : cost(costs),
         conflicts(conflicts_in),
@@ -56,7 +46,7 @@ struct Enumerator {
   double budget;
   size_t max_sets;
   size_t max_visits;
-  const EmitFn& visit;
+  const VisitFn& visit;
   const AdmitFn& admit;
   const std::function<bool()>& should_stop;
 
@@ -137,7 +127,7 @@ struct Enumerator {
       }
       if (Maximal()) {
         ++stats.emitted;
-        if (!visit(current, stats.guard_checks)) {
+        if (!visit(current)) {
           stop = true;
           return;
         }
@@ -168,11 +158,13 @@ struct Enumerator {
   }
 };
 
-MbsStats Enumerate(const std::vector<double>& costs,
-                   const std::vector<std::vector<size_t>>& conflicts,
-                   double budget, size_t max_sets, const EmitFn& visit,
-                   const AdmitFn& admit,
-                   const std::function<bool()>& should_stop) {
+}  // namespace
+
+MbsStats EnumerateMaximalBoundedSets(
+    const std::vector<double>& costs,
+    const std::vector<std::vector<size_t>>& conflicts, double budget,
+    size_t max_sets, const VisitFn& visit, const AdmitFn& admit,
+    const std::function<bool()>& should_stop) {
   WHYQ_CHECK(conflicts.size() == costs.size());
   std::vector<size_t> order(costs.size());
   std::iota(order.begin(), order.end(), 0);
@@ -184,57 +176,11 @@ MbsStats Enumerate(const std::vector<double>& costs,
   if (costs.empty()) {
     // The empty set is trivially the only MBS.
     e.stats.emitted = 1;
-    visit({}, 0);
+    visit({});
     return e.stats;
   }
   e.Recurse(0);
   return e.stats;
-}
-
-}  // namespace
-
-MbsStats EnumerateMaximalBoundedSets(
-    const std::vector<double>& costs,
-    const std::vector<std::vector<size_t>>& conflicts, double budget,
-    size_t max_sets,
-    const std::function<bool(const std::vector<size_t>&)>& visit,
-    const AdmitFn& admit, const std::function<bool()>& should_stop) {
-  return Enumerate(
-      costs, conflicts, budget, max_sets,
-      [&](const std::vector<size_t>& set, size_t) { return visit(set); },
-      admit, should_stop);
-}
-
-MbsStats EnumerateMaximalBoundedSetsBatched(
-    const std::vector<double>& costs,
-    const std::vector<std::vector<size_t>>& conflicts, double budget,
-    size_t max_sets, size_t batch_size,
-    const std::function<bool(const std::vector<std::vector<size_t>>& batch,
-                             const std::vector<size_t>& guard_checks)>&
-        visit_batch,
-    const AdmitFn& admit, const std::function<bool()>& should_stop) {
-  batch_size = std::max<size_t>(batch_size, 1);
-  std::vector<std::vector<size_t>> batch;
-  std::vector<size_t> checks;
-  batch.reserve(batch_size);
-  checks.reserve(batch_size);
-  bool stopped_by_batch = false;
-  MbsStats stats = Enumerate(
-      costs, conflicts, budget, max_sets,
-      [&](const std::vector<size_t>& idx, size_t guard_checks) {
-        batch.push_back(idx);
-        checks.push_back(guard_checks);
-        if (batch.size() < batch_size) return true;
-        bool keep_going = visit_batch(batch, checks);
-        batch.clear();
-        checks.clear();
-        stopped_by_batch = !keep_going;
-        return keep_going;
-      },
-      admit, should_stop);
-  // Flush the tail window (enumeration exhausted or a cap fired mid-batch).
-  if (!batch.empty() && !stopped_by_batch) visit_batch(batch, checks);
-  return stats;
 }
 
 }  // namespace whyq

@@ -2,6 +2,7 @@
 #define WHYQ_WHY_MBS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -51,6 +52,16 @@ struct MbsStats {
 using AdmitFn =
     std::function<bool(const std::vector<size_t>& current, size_t next)>;
 
+/// FNV-1a over an index set: the hash of the maps keyed by sorted index
+/// sets (the enumerator's verdict memo, the exact search's guard counts).
+struct IndexSetHash {
+  size_t operator()(const std::vector<size_t>& s) const {
+    uint64_t h = 1469598103934665603ull;
+    for (size_t i : s) h = (h ^ i) * 1099511628211ull;
+    return static_cast<size_t>(h);
+  }
+};
+
 /// `should_stop` (optional) is polled inside the DFS (every few dozen
 /// nodes); returning true aborts enumeration with `truncated` set — the
 /// hook wall-clock limits sit behind, since admissibility checks can be
@@ -61,38 +72,14 @@ using AdmitFn =
 /// `admit` pruning, and the max_sets/64x-leaf caps. Per emitted set the
 /// work is O(|costs|) for the maximality check plus one `visit` call.
 ///
-/// Thread-safety: the enumeration itself is single-threaded and re-entrant
-/// (no shared state between calls); `visit`/`admit`/`should_stop` are
-/// invoked on the caller's thread only. Parallel *verification* of emitted
-/// sets is the caller's job — see the batched variant below.
+/// Thread-safety: the enumeration is single-threaded and re-entrant (no
+/// shared state between calls); `visit`/`admit`/`should_stop` are invoked
+/// on the caller's thread only.
 MbsStats EnumerateMaximalBoundedSets(
     const std::vector<double>& costs,
     const std::vector<std::vector<size_t>>& conflicts, double budget,
     size_t max_sets,
     const std::function<bool(const std::vector<size_t>&)>& visit,
-    const AdmitFn& admit = nullptr,
-    const std::function<bool()>& should_stop = nullptr);
-
-/// Batched enumeration for parallel verification (the intra-question
-/// parallelism of ExactWhy/ExactWhyNot): identical DFS, emission order, and
-/// caps as EnumerateMaximalBoundedSets, but sets are buffered and handed to
-/// `visit_batch` in groups of at most `batch_size` (the final group may be
-/// smaller; with batch_size == 1 this is exactly the unbatched call). A
-/// batch is a contiguous window over the serial emission stream, so a
-/// caller that evaluates a batch in parallel and then *reduces it in index
-/// order* observes the same visit sequence as the serial enumeration —
-/// which is how the parallel exact algorithms stay bit-identical to their
-/// serial reference. Returning false from `visit_batch` stops enumeration.
-/// `guard_checks[i]` is MbsStats::guard_checks as it stood when batch[i]
-/// was emitted, so a caller that stops at item i can report the serial
-/// run's count rather than the work done for the lookahead past it.
-MbsStats EnumerateMaximalBoundedSetsBatched(
-    const std::vector<double>& costs,
-    const std::vector<std::vector<size_t>>& conflicts, double budget,
-    size_t max_sets, size_t batch_size,
-    const std::function<bool(const std::vector<std::vector<size_t>>& batch,
-                             const std::vector<size_t>& guard_checks)>&
-        visit_batch,
     const AdmitFn& admit = nullptr,
     const std::function<bool()>& should_stop = nullptr);
 

@@ -76,11 +76,10 @@ struct AnswerConfig {
 
   /// Intra-question parallelism width. 0 = unset (the host decides: the CLI
   /// and plain library calls stay serial, the service substitutes its
-  /// ServiceConfig::intra_threads); 1 = explicitly serial; N > 1 = verify
-  /// MBS candidates / score greedy gains on up to N executors of
-  /// ThreadPool::Shared() (capped at its worker count + 1). Parallel runs
-  /// produce byte-identical answers to threads == 1 — see
-  /// why/exact_search.h for the determinism contract.
+  /// ServiceConfig::intra_threads); 1 = explicitly serial; N > 1 = score
+  /// greedy gains on up to N executors of ThreadPool::Shared() (capped at
+  /// its worker count + 1). Parallel runs produce byte-identical answers
+  /// to threads == 1. The exact search is serial and ignores it.
   size_t threads = 0;
 
   /// Cooperative cancellation/deadline (not owned; may be null). Polled in

@@ -15,10 +15,10 @@ namespace whyq {
 // Thread-safety contract (all six algorithm entry points, both headers):
 // every call builds its own evaluators/match state, reading only const
 // inputs, so concurrent calls over one shared Graph are safe. Within a
-// call, cfg.threads > 1 fans the MBS verification (exact) or the
-// marginal-gain scans (greedy) out over ThreadPool::Shared(); results are
-// byte-identical to cfg.threads == 1 whenever truncation is deterministic
-// (cfg.exact_time_limit_ms == 0) — see why/exact_search.h and
+// call, cfg.threads > 1 fans the greedy marginal-gain scans out over
+// ThreadPool::Shared(); results are byte-identical to cfg.threads == 1.
+// The exact search is serial; only the exact algorithms' greedy fallback
+// after a truncated search uses cfg.threads — see why/exact_search.h and
 // docs/ARCHITECTURE.md "Intra-question parallelism".
 
 /// The outcome of answering a Why/Why-not question: the chosen operator set
@@ -39,8 +39,8 @@ struct RewriteAnswer {
                                       // matcher (exact only)
   bool exhaustive = false;            // exact enumeration was not truncated
   // Candidate-memo (MatchContext) counters summed over every evaluator the
-  // question used — the main evaluator plus all parallel executor slots.
-  // All zero under simulation semantics (no context there).
+  // question used — the main evaluator plus the greedy scoring's executor
+  // slots. All zero under simulation semantics (no context there).
   uint64_t ctx_hits = 0;          // memoized candidate-set lookups served
   uint64_t ctx_misses = 0;        // sets built by scanning a label bucket
   uint64_t ctx_delta_builds = 0;  // sets built by filtering a cached parent

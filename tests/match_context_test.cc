@@ -30,8 +30,10 @@
 #include "matcher/match_engine.h"
 #include "matcher/matcher.h"
 #include "matcher/path_index.h"
+#include "rewrite/evaluation.h"
 #include "rewrite/operators.h"
 #include "why/est_match.h"
+#include "why/exact_search.h"
 #include "why/picky.h"
 #include "why/question.h"
 
@@ -358,6 +360,100 @@ TEST(MatchContextEquivalenceTest, PathProbesMatchContextFreeReference) {
     }
     EXPECT_GT(dead, 0u) << "seed " << seed;
     EXPECT_GT(grown, 0u) << "seed " << seed;
+  }
+}
+
+// --- Reused guard counts: the exact search vs a fresh Evaluate. ---------
+
+// Wraps the evaluator the exact search runs on. Each evaluation that
+// reuses the admit's guard count is checked against a fresh Evaluate on
+// a second evaluator with its own memo.
+template <typename Evaluator>
+class ReuseChecker {
+ public:
+  ReuseChecker(const Evaluator& searched, const Evaluator& fresh)
+      : searched_(searched), fresh_(fresh) {}
+
+  EvalResult Evaluate(const Query& rw) const { return searched_.Evaluate(rw); }
+  EvalResult Evaluate(const Query& rw, size_t guard) const {
+    EvalResult reused = searched_.Evaluate(rw, guard);
+    EvalResult fresh = fresh_.Evaluate(rw);
+    EXPECT_EQ(reused.closeness, fresh.closeness);
+    EXPECT_EQ(reused.guard, fresh.guard);
+    EXPECT_EQ(reused.guard_ok, fresh.guard_ok);
+    ++checked;
+    return reused;
+  }
+  size_t Guard(const Query& rw) const { return searched_.Guard(rw); }
+  MatchContext::Stats ContextStats() const {
+    return searched_.ContextStats();
+  }
+  MatchContext* context() const { return searched_.context(); }
+
+  mutable size_t checked = 0;
+
+ private:
+  const Evaluator& searched_;
+  const Evaluator& fresh_;
+};
+
+// Runs the exact search over the universe's operators whose kind passes
+// `keep` and returns how many emitted sets reused a guard count.
+template <typename Evaluator, typename Question>
+size_t CheckReusedGuards(const RewriteUniverse& u,
+                         const std::vector<NodeId>& answers,
+                         const Question& w, MatchSemantics sem,
+                         bool (*keep)(OpKind)) {
+  AnswerConfig cfg;
+  cfg.budget = 3.0;
+  cfg.guard_m = 2;
+  cfg.semantics = sem;
+  cfg.max_mbs = 200;
+  cfg.exact_time_limit_ms = 0;
+  std::vector<EditOp> usable;
+  std::vector<double> costs;
+  for (const EditOp& op : u.ops) {
+    if (!keep(op.kind)) continue;
+    usable.push_back(op);
+    costs.push_back(1.0);
+  }
+  Evaluator searched(u.g, answers, w, cfg.guard_m, sem);
+  Evaluator fresh(u.g, answers, w, cfg.guard_m, sem);
+  ReuseChecker<Evaluator> eval(searched, fresh);
+  internal::ExactMbsSearch(u.q, usable, costs, cfg, eval);
+  return eval.checked;
+}
+
+// Every set the exact search emits is verified with the guard count its
+// admissibility check made; that evaluation must equal a fresh Evaluate
+// (closeness, guard and verdict), for Why over the refinement operators
+// and for Why-not over the relaxation operators, under both semantics.
+TEST(ReusedGuardPropertyTest, EmittedSetsEvaluateLikeAFreshEvaluate) {
+  for (uint64_t seed : {11u, 23u}) {
+    Rng rng(seed * 101 + 7);
+    RewriteUniverse u = MakeRewriteUniverse(seed, rng);
+    ASSERT_GT(u.q.node_count(), 0u) << "seed " << seed;
+    for (MatchSemantics sem :
+         {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
+      std::vector<NodeId> answers =
+          MakeMatchEngine(u.g, sem)->MatchOutput(u.q);
+      ASSERT_FALSE(answers.empty()) << "seed " << seed;
+      WhyQuestion why{{answers.front(), answers.back()}};
+      WhyNotQuestion whynot;
+      for (NodeId v : u.probes) {
+        if (std::find(answers.begin(), answers.end(), v) == answers.end()) {
+          whynot.missing.push_back(v);
+        }
+      }
+      EXPECT_GT(CheckReusedGuards<WhyEvaluator>(u, answers, why, sem,
+                                                &IsRefinement),
+                0u)
+          << "seed " << seed << " Why";
+      EXPECT_GT(CheckReusedGuards<WhyNotEvaluator>(u, answers, whynot, sem,
+                                                   &IsRelaxation),
+                0u)
+          << "seed " << seed << " Why-not";
+    }
   }
 }
 

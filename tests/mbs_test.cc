@@ -278,42 +278,5 @@ TEST_P(MbsAdmitPropertyTest, MatchesBruteForceAndSkipsSettledChecks) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MbsAdmitPropertyTest, testing::Range(0, 40));
 
-// The batched variant reports, per set, the guard checks made up to its
-// emission; the last set's figure is at most the search's total.
-TEST(MbsTest, BatchedReportsGuardChecksAtEmission) {
-  std::vector<double> costs{1.0, 1.0, 1.0, 1.0, 1.0};
-  AdmitFn admit = [](const std::vector<size_t>& cur, size_t j) {
-    return !(j == 4 || (j == 1 && std::count(cur.begin(), cur.end(), 0u)));
-  };
-  std::vector<size_t> serial_checks;
-  MbsStats serial = EnumerateMaximalBoundedSetsBatched(
-      costs, NoConflicts(5), 3.0, 100000, 1,
-      [&](const std::vector<std::vector<size_t>>& batch,
-          const std::vector<size_t>& checks) {
-        EXPECT_EQ(batch.size(), checks.size());
-        serial_checks.insert(serial_checks.end(), checks.begin(),
-                             checks.end());
-        return true;
-      },
-      admit);
-  std::vector<size_t> batched_checks;
-  MbsStats batched = EnumerateMaximalBoundedSetsBatched(
-      costs, NoConflicts(5), 3.0, 100000, 3,
-      [&](const std::vector<std::vector<size_t>>& batch,
-          const std::vector<size_t>& checks) {
-        EXPECT_EQ(batch.size(), checks.size());
-        batched_checks.insert(batched_checks.end(), checks.begin(),
-                              checks.end());
-        return true;
-      },
-      admit);
-  EXPECT_EQ(serial_checks, batched_checks);
-  EXPECT_EQ(serial.guard_checks, batched.guard_checks);
-  ASSERT_FALSE(serial_checks.empty());
-  EXPECT_TRUE(std::is_sorted(serial_checks.begin(), serial_checks.end()));
-  EXPECT_LE(serial_checks.back(), serial.guard_checks);
-  EXPECT_GT(serial.guard_checks, 0u);
-}
-
 }  // namespace
 }  // namespace whyq

@@ -14,6 +14,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -26,9 +27,13 @@
 #include "matcher/match_engine.h"
 #include "matcher/matcher.h"
 #include "query/query_parser.h"
+#include "rewrite/cost_model.h"
+#include "rewrite/evaluation.h"
 #include "rewrite/operators.h"
 #include "service/service.h"
+#include "why/exact_search.h"
 #include "why/extensions.h"
+#include "why/picky.h"
 #include "why/why_algorithms.h"
 #include "why/whynot_algorithms.h"
 
@@ -738,6 +743,127 @@ TEST(GuardChecksTest, SetsEnumeratedPinnedAtOneAndFourThreads) {
   };
   for (size_t threads : {size_t{1}, size_t{4}}) {
     EXPECT_EQ(EnumeratedCounts(threads), expected) << "threads=" << threads;
+  }
+}
+
+// A RewriteEvaluator that counts its sweeps: every Guard call is one guard
+// sweep, and so is every fresh Evaluate (it sweeps the guard before the
+// closeness); an Evaluate given a guard count runs only the closeness.
+template <typename Inner>
+class CountingEvaluator {
+ public:
+  template <typename... Args>
+  explicit CountingEvaluator(Args&&... args)
+      : inner_(std::forward<Args>(args)...) {}
+
+  EvalResult Evaluate(const Query& rw) const {
+    ++guard_sweeps;
+    ++fresh_evaluations;
+    return inner_.Evaluate(rw);
+  }
+  EvalResult Evaluate(const Query& rw, size_t guard) const {
+    ++reused_evaluations;
+    return inner_.Evaluate(rw, guard);
+  }
+  size_t Guard(const Query& rw) const {
+    ++guard_sweeps;
+    return inner_.Guard(rw);
+  }
+  MatchContext::Stats ContextStats() const { return inner_.ContextStats(); }
+  MatchContext* context() const { return inner_.context(); }
+  const Inner& inner() const { return inner_; }
+
+  mutable size_t guard_sweeps = 0;
+  mutable size_t fresh_evaluations = 0;
+  mutable size_t reused_evaluations = 0;
+
+ private:
+  Inner inner_;
+};
+
+// The exact search as RunExact sets it up (the direction's picky set,
+// screened by the budget), on a counting evaluator:
+// "checks=C|sweeps=S|fresh=F|reused=R|verified=V".
+template <typename Evaluator, typename Question>
+std::string ExactWork(const Graph& g, const Query& q,
+                      const std::vector<NodeId>& answers, const Question& w,
+                      const AnswerConfig& cfg) {
+  CountingEvaluator<Evaluator> eval(g, answers, w, cfg.guard_m,
+                                    cfg.semantics, cfg.cancel);
+  std::vector<EditOp> picky;
+  if constexpr (std::is_same_v<Evaluator, WhyEvaluator>) {
+    picky = GenPickyWhy(g, q, answers, eval.inner().unexpected(), cfg);
+  } else {
+    picky = GenPickyWhyNot(g, q, eval.inner().missing(), cfg);
+  }
+  CostModel cost(q, g, cfg.weighted_cost);
+  std::vector<EditOp> usable;
+  std::vector<double> costs;
+  for (EditOp& op : picky) {
+    double c = cost.Cost(op);
+    if (c <= cfg.budget + 1e-9) {
+      usable.push_back(std::move(op));
+      costs.push_back(c);
+    }
+  }
+  internal::ExactSearchOutcome out =
+      internal::ExactMbsSearch(q, usable, costs, cfg, eval);
+  EXPECT_EQ(out.verified, out.stats.emitted);
+  return "checks=" + std::to_string(out.stats.guard_checks) +
+         "|sweeps=" + std::to_string(eval.guard_sweeps) +
+         "|fresh=" + std::to_string(eval.fresh_evaluations) +
+         "|reused=" + std::to_string(eval.reused_evaluations) +
+         "|verified=" + std::to_string(out.verified);
+}
+
+// The questions and configs of GuardCheckCounts.
+std::vector<std::pair<std::string, std::string>> ExactWorkCounts(
+    size_t threads) {
+  std::vector<std::pair<std::string, std::string>> out;
+  Figure1 f = MakeFigure1();
+  std::vector<NodeId> fig1_answers = Matcher(f.graph).MatchOutput(f.query);
+  AnswerConfig cfg = BaseConfig(threads);
+  cfg.guard_m = 0;
+  out.emplace_back("fig1/ExactWhy",
+                   ExactWork<WhyEvaluator>(f.graph, f.query, fig1_answers,
+                                           WhyQuestion{{f.a5, f.s5}}, cfg));
+  WhyNotQuestion whynot;
+  whynot.missing = {f.s8, f.s9};
+  cfg.budget = 5.0;
+  cfg.guard_m = 2;
+  out.emplace_back("fig1/ExactWhyNot",
+                   ExactWork<WhyNotEvaluator>(f.graph, f.query, fig1_answers,
+                                              whynot, cfg));
+
+  const Graph& g = SweepGraph();
+  const Workload w = SweepWorkload(g);
+  const Workload::Item& item = w.items.at(0);
+  const Query& q = item.gq.query;
+  std::vector<NodeId> answers = Matcher(g).MatchOutput(q);
+  cfg = BaseConfig(threads);
+  out.emplace_back("sweep/0/ExactWhy",
+                   ExactWork<WhyEvaluator>(g, q, answers,
+                                           WhyQuestion{{answers.at(0)}}, cfg));
+  out.emplace_back("sweep/0/ExactWhyNot",
+                   ExactWork<WhyNotEvaluator>(g, q, answers, item.whynot,
+                                              cfg));
+  return out;
+}
+
+// The exact search runs each guard sweep once: the sweeps equal the
+// pinned guard checks (GuardChecksTest), and every emitted set is verified
+// with the count its admissibility check made (fresh=0), so no emitted
+// set sweeps its guard a second time. The thread count does not matter.
+TEST(ExactWorkTest, EachGuardSweptOnceAtOneAndFourThreads) {
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"fig1/ExactWhy", "checks=7|sweeps=7|fresh=0|reused=2|verified=2"},
+      {"fig1/ExactWhyNot", "checks=16|sweeps=16|fresh=0|reused=4|verified=4"},
+      {"sweep/0/ExactWhy",
+       "checks=107|sweeps=107|fresh=0|reused=1|verified=1"},
+      {"sweep/0/ExactWhyNot", "checks=7|sweeps=7|fresh=0|reused=1|verified=1"},
+  };
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    EXPECT_EQ(ExactWorkCounts(threads), expected) << "threads=" << threads;
   }
 }
 

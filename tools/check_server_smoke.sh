@@ -15,6 +15,8 @@
 set -u
 
 cli="${1:?usage: check_server_smoke.sh PATH_TO_WHYQ_CLI [WORKDIR]}"
+# A relative CLI path names a file under the caller's directory, not WORKDIR.
+case "$cli" in /*) ;; *) cli="$PWD/$cli" ;; esac
 cd "${2:-.}" || exit 1
 
 if ! command -v python3 >/dev/null 2>&1; then

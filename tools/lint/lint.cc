@@ -193,7 +193,6 @@ namespace {
 const char* const kWorkTokens[] = {
     "Evaluate",
     "EnumerateMaximalBoundedSets",
-    "EnumerateMaximalBoundedSetsBatched",
     "MatchOutput",
     "TestAnswers",
     "NewMatches",
